@@ -108,8 +108,10 @@ RECEIVER_HINTS: dict[str, tuple[str, ...]] = {
 DISCIPLINES: dict[str, tuple[str, ...]] = {
     #: The address-map lock: only map code mutates map bookkeeping.
     "map-lock": (),
-    #: The object lock as held by the fault/pageout/kernel funnel.
-    "object-lock": ("core.kernel", "core.fault", "core.pageout"),
+    #: The object lock as held by the fault/pageout/kernel funnel
+    #: (the pinned reference resolver pages in through its own v1 shim).
+    "object-lock": ("core.kernel", "core.fault", "core.fault_reference",
+                    "core.pageout"),
     #: Reference/shadow-chain state: object-manager internal.
     "object-ref": (),
     #: Pager attach-time attributes, set while servicing pager replies.
@@ -316,7 +318,7 @@ _CTX_METHODS = ("read", "write", "rmw")
 
 #: Entering the fault handler can block the faulting thread (pager
 #: round-trips), so calls into it are preemption points too.
-_FAULT_ENTRY = ("vm_fault", "resolve_task_fault")
+_FAULT_ENTRY = ("vm_fault_batch", "resolve_task_fault")
 
 #: Modules exempt from atomicity-hazard *reporting*: the kernel funnel
 #: runs under the map/object locks (checked by the guarded-by half),

@@ -235,7 +235,7 @@ _PAGE_OPS = {"free": "page-free", "activate": "page-activate",
 #: Entering the fault handler can block on a pager round-trip; every
 #: ThreadContext memory access is a preemption point (same seeds as the
 #: race.py atomicity lint, now propagated across module boundaries).
-_FAULT_ENTRY = ("vm_fault", "resolve_task_fault")
+_FAULT_ENTRY = ("vm_fault_batch", "resolve_task_fault")
 _CTX_METHODS = ("read", "write", "rmw")
 
 _ESCAPING_METHODS = {"append", "add", "insert", "setdefault", "put",

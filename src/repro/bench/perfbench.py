@@ -80,8 +80,8 @@ def _fault_microbench(rounds: int, pages: int, seed: int,
 
     ``batch=True`` resolves each round's refaults through
     :meth:`MachKernel.fault_batch` (the fast lane); ``batch=False``
-    touches the pages one read at a time through the MMU (the scalar
-    lane).  Identical fault stream either way: ``rounds * pages``
+    touches the pages one read at a time through the MMU (one
+    single-page run per trap).  Identical fault stream either way: ``rounds * pages``
     faults over the same warmed region, forgotten in the same
     seed-shuffled order.
     """

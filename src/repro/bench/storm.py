@@ -11,9 +11,9 @@ pool, the pageout daemon and the TLBs:
 * staggered start — thread *i* idles *i* slices before faulting, so
   load ramps instead of arriving as one burst;
 * forget/refault churn through the MMU (``mmu_probe`` →
-  ``map_lookup`` → ``shadow_walk`` stages) and one batch-lane
-  resolution per round (``vm/fault`` spans nested in
-  ``vm/fault_batch``, deferred ``pmap/enter_batch`` flushes);
+  ``map_lookup`` → ``shadow_walk`` stages) and one multi-page
+  ``fault_batch`` run per round (``vm/fault`` spans nested in
+  ``vm/fault_batch``, one ``pmap/enter_batch`` per run);
 * copy-on-write children (``copy_up`` stage) on every other task;
 * a pageout thread evicting pages each round, so later refaults page
   in from the default pager (``pager_wait`` dominating the tail).

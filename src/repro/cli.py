@@ -316,7 +316,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         sweep = payload["invariant_sweeps"]
         print(f"fault microbench (batch lane): {fault['faults']} "
               f"faults in {fault['wall_s']:.3f}s "
-              f"({fault['faults_per_s']:.0f} faults/s; scalar lane "
+              f"({fault['faults_per_s']:.0f} faults/s; one page per trap "
               f"{scalar['faults_per_s']:.0f} faults/s)")
         print("per-arch (batch, faults/s): " + ", ".join(
             f"{arch}={fps:.0f}" for arch, fps in

@@ -42,7 +42,7 @@ _EXPORTS = {
     # machinery
     "FaultOutcome": "repro.core.fault",
     "resolve_task_fault": "repro.core.fault",
-    "vm_fault": "repro.core.fault",
+    "vm_fault_batch": "repro.core.fault",
     "MachKernel": "repro.core.kernel",
     "VMContext": "repro.core.kernel",
     "PageoutDaemon": "repro.core.pageout",

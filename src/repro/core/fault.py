@@ -1,4 +1,4 @@
-"""The page fault handler (the fault fast lane).
+"""The page fault handler.
 
 This is the rendezvous point of the whole design: "all virtual memory
 information can be reconstructed at fault time from Mach's machine
@@ -15,30 +15,30 @@ independent data structures" (Section 3.6).  A fault resolves by
 6. entering the translation in the machine-dependent pmap — with write
    permission withheld when the page is still logically shared.
 
-Two lanes resolve faults:
+One resolver, :func:`vm_fault_batch`, serves every fault.  It takes a
+*run* of consecutive pages: the MMU trap (:func:`resolve_task_fault`)
+is a run of one, and :meth:`~repro.core.kernel.MachKernel.fault_batch`
+passes longer ones.  Pages against the same map entry share one map
+lookup, one shadow-chain memo and one
+:meth:`~repro.pmap.interface.Pmap.enter_batch` (and therefore at most
+one TLB shootdown) instead of one of each per page.  The hot path uses
+integer protection masks, the memoized shadow-chain walk
+(:meth:`repro.core.vm_object.VMObject.shadow_chain`) and builds event
+payloads only when the bus has subscribers.
 
-* :func:`vm_fault` — one page at a time, as the MMU delivers them.  The
-  hot path uses integer protection masks, the memoized shadow-chain
-  walk (:meth:`repro.core.vm_object.VMObject.shadow_chain`) and builds
-  event payloads only when the bus has subscribers.
-* :func:`vm_fault_batch` — a *run* of consecutive pending faults
-  against the same map entry resolved in one pass: one map lookup, one
-  shadow-chain memo, one :meth:`~repro.pmap.interface.Pmap.enter_batch`
-  (and therefore at most one TLB shootdown) per object-run, instead of
-  one of each per page.
-
-Both lanes keep identical machine-independent semantics; the pinned
-page-at-a-time reference implementation lives in
-:mod:`repro.core.fault_reference` and the differential harness under
-``tests/difftest/`` proves the equivalence on every registered pmap.
+The pinned page-at-a-time reference implementation lives in
+:mod:`repro.core.fault_reference`; the differential harness under
+``tests/difftest/`` proves the two equal on every registered pmap.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 from repro.core.constants import FaultType, VMProt
-from repro.core.errors import DiskIOError, MemoryObjectError
+from repro.core.errors import DiskIOError, MemoryObjectError, \
+    ProtectionFailureError
 from repro.core.page import VMPage
 
 #: Small-int protection cache: VMProt(i) without the IntFlag
@@ -46,6 +46,10 @@ from repro.core.page import VMPage
 #: fault-path profile).
 _PROT = tuple(VMProt(value) for value in range(8))
 _WRITE_BIT = int(VMProt.WRITE)
+
+#: Stands in for the ``vm/fault`` span when the bus has no subscribers
+#: (the bus is then not asked for a span at all).
+_NO_SPAN = nullcontext()
 
 
 @dataclass
@@ -60,83 +64,184 @@ class FaultOutcome:
     entered_prot: VMProt = VMProt.NONE
 
 
-def vm_fault(kernel, task, vaddr: int, fault_type: FaultType,
-             wiring: bool = False) -> FaultOutcome:
-    """Resolve a page fault for *task* at *vaddr*.
+def vm_fault_batch(kernel, task, vaddr: int, npages: int,
+                   fault_type: FaultType,
+                   wiring: bool = False) -> list[FaultOutcome]:
+    """Resolve *npages* consecutive page faults for *task*: the first
+    at *vaddr*, the rest at the pages that follow it.
+
+    Each page is one fault, exactly as if taken alone: the same
+    statistics, simulated cost and semantic events, and one ``vm/fault``
+    span (the first carries *vaddr* as given, unaligned).  Only the
+    mechanism is shared: each object-run costs one map lookup, one
+    shadow-chain memo and one
+    :meth:`~repro.pmap.interface.Pmap.enter_batch` — so at most one TLB
+    shootdown.
+
+    Batching rules (also documented in ARCHITECTURE.md):
+
+    * a run breaks at map-entry boundaries (and re-resolves the map);
+    * per-page queue and page-state updates happen at resolution time
+      in page order; only the hardware enter (and the busy-clear) is
+      deferred to the run's flush;
+    * a run is flushed inside the ``vm/fault`` span of the page that
+      ends it — the next run's first page, or the last page — so every
+      pmap enter is part of a fault;
+    * pending mappings are flushed to the pmap before any page whose
+      resolution could trigger synchronous reclamation (free memory
+      within two frames of the hard minimum), so the pageout daemon
+      sees the same candidate set page-at-a-time faults would have
+      produced — never a resolved-but-unmapped page;
+    * a copy-on-write copy-up collapses the shadow chain per page — the
+      chain memo re-walks after the epoch bump, so the ≤1-walk
+      guarantee applies to runs that do not mutate the chain;
+    * on any error, pending mappings are flushed before the error
+      propagates, leaving every already-resolved page entered.
 
     Raises:
-        InvalidAddressError: nothing mapped at *vaddr*.
+        InvalidAddressError: nothing mapped at a faulting page.
         ProtectionFailureError: the mapping forbids the access.
     """
     vm = kernel.vm
-    costs = vm.costs
-    vm.clock.charge(costs.fault_trap_us + costs.fault_mi_us)
-    kernel.stats.faults += 1
-    events = kernel.events
-    if events.active:
-        with events.span("vm", "fault", task=task.name, vaddr=vaddr,
-                         fault_type=fault_type.name) as span:
-            return _resolve_fault(kernel, task, vaddr, fault_type,
-                                  wiring, span)
-    return _resolve_fault(kernel, task, vaddr, fault_type, wiring, None)
-
-
-def _resolve_fault(kernel, task, vaddr: int, fault_type: FaultType,
-                   wiring: bool, span) -> FaultOutcome:
-    """The body of :func:`vm_fault`, run inside its ``vm/fault`` span
-    when the bus has subscribers (*span* is ``None`` otherwise)."""
-    vm = kernel.vm
-    page_addr = vaddr & -vm.page_size
+    page_size = vm.page_size
     vm_map = task.vm_map
-    result = _lookup_staged(kernel, vm_map, page_addr, fault_type)
-    writing = bool(int(fault_type) & _WRITE_BIT)
-    outcome = FaultOutcome(page=None)  # type: ignore[arg-type]
-    result = _prepare_entry(kernel, vm_map, result, page_addr,
-                            fault_type, writing, outcome)
-
-    first_object = result.leaf_entry.vm_object
-    first_offset = result.offset
-
-    # (4) Walk the shadow chain for the data.  A failed backing store
-    # (dead pager, bad disk) surfaces here as a *typed* error to the
-    # faulting task — never a hang, never silently wrong data (the
-    # paper's Section 4 concern about errant user-state managers).
-    try:
-        page, level = _find_page_staged(kernel, first_object,
-                                        first_offset, outcome)
-    except (MemoryObjectError, DiskIOError):
-        kernel.stats.fault_errors += 1
-        raise
-
-    prot_bits = _finish_page(kernel, result, page, level, first_object,
-                             first_offset, vaddr, fault_type, writing,
-                             outcome)
-    page = outcome.page  # the copy-up page when a COW copy happened
-
     pmap = vm_map.pmap
-    wire_page = wiring or result.wired
+    resident = vm.resident
+    events = kernel.events
+    stats = kernel.stats
+    clock = vm.clock
+    costs = vm.costs
+    # The modeled per-fault cost is the same for every page: batching
+    # is a simulator wall-clock optimization, not a change to the
+    # paper's cost model (the Table 7-x benches stay pinned).
+    per_fault_us = costs.fault_trap_us + costs.fault_mi_us
+    writing = bool(int(fault_type) & _WRITE_BIT)
+
+    outcomes: list[FaultOutcome] = []
+    #: The run's mappings awaiting one enter_batch, as its
+    #: (vaddr, paddr, prot, wired) tuples, and their pages.  Every
+    #: pending page has already had its queue/state updates applied;
+    #: only the hardware enter and the busy-clear are deferred.
+    pending: list[tuple] = []
+    pending_pages: list[VMPage] = []
+    result = None
+    run_base = 0
+    fault_addr = vaddr
+    page_addr = vaddr & -page_size
+    end = page_addr + npages * page_size
+    while page_addr < end:
+        clock.charge(per_fault_us)
+        stats.faults += 1
+        outcome = FaultOutcome(page=None)  # type: ignore[arg-type]
+        try:
+            with (events.span("vm", "fault", task=task.name,
+                              vaddr=fault_addr,
+                              fault_type=fault_type.name)
+                  if events.active else _NO_SPAN) as span:
+                if result is None or not _covers(result, page_addr):
+                    # New run: enter the finished one, re-resolve the
+                    # map and prepare the entry (materialize / shadow)
+                    # once for the whole run.
+                    if pending:
+                        _flush(pmap, pending, pending_pages)
+                    result = _lookup_staged(kernel, vm_map, page_addr,
+                                            fault_type)
+                    result = _prepare_entry(kernel, vm_map, result,
+                                            page_addr, fault_type,
+                                            writing, outcome)
+                    run_base = page_addr
+                elif pending and \
+                        resident.free_count < resident.free_min + 2:
+                    # Enter what we have before a page whose resolution
+                    # could trip synchronous reclamation (one resolution
+                    # allocates at most two frames: a pagein plus a
+                    # copy-up): the daemon must see every resolved page
+                    # mapped, never a resolved-but-unmapped one.
+                    _flush(pmap, pending, pending_pages)
+
+                first_object = result.leaf_entry.vm_object
+                first_offset = result.offset + (page_addr - run_base)
+                # (4) Walk the shadow chain for the data.  A failed
+                # backing store (dead pager, bad disk) surfaces here as
+                # a *typed* error to the faulting task — never a hang,
+                # never silently wrong data (the paper's Section 4
+                # concern about errant user-state managers).  Pager
+                # calls and the zero fill open their own stage spans
+                # inside ``stage/shadow_walk``, so the walk's *self*
+                # time is the chain descent alone.
+                try:
+                    if events.active:
+                        with events.span("stage", "shadow_walk"):
+                            page, level = _find_page(
+                                kernel, first_object, first_offset,
+                                outcome)
+                    else:
+                        page, level = _find_page(
+                            kernel, first_object, first_offset, outcome)
+                except (MemoryObjectError, DiskIOError):
+                    stats.fault_errors += 1
+                    raise
+                prot = _PROT[_finish_page(
+                    kernel, result, page, level, first_object,
+                    first_offset, fault_addr, fault_type, writing,
+                    outcome) & 7]
+                page = outcome.page  # the copy-up page after a COW copy
+
+                # Queue/state updates happen now, in page order (a COW
+                # copy-up activates the source page mid-resolution; the
+                # copy must follow it immediately).
+                wire_page = wiring or result.wired
+                page.referenced = True
+                if writing:
+                    page.modified = True
+                if wire_page:
+                    resident.wire(page)
+                else:
+                    resident.activate(page)
+                pending.append((page_addr, page.phys_addr, prot,
+                                wire_page))
+                pending_pages.append(page)
+                outcome.entered_prot = prot
+                page_addr += page_size
+                if page_addr == end:
+                    _flush(pmap, pending, pending_pages)
+                if span is not None:
+                    span.note(zero_filled=outcome.zero_filled,
+                              paged_in=outcome.paged_in,
+                              shadow_created=outcome.shadow_created,
+                              cow_copied=outcome.cow_copied,
+                              depth=level)
+        except BaseException:
+            # Leave every already-resolved page entered and queued.
+            if pending:
+                _flush(pmap, pending, pending_pages)
+            raise
+        outcomes.append(outcome)
+        fault_addr = page_addr
+    return outcomes
+
+
+def _covers(result, page_addr: int) -> bool:
+    """Does the run's lookup result still govern *page_addr*?"""
+    top = result.top_entry
+    if not top.contains(page_addr):
+        return False
+    leaf = result.leaf_entry
+    if leaf is top:
+        return True
+    return leaf.contains(top.offset_of(page_addr))
+
+
+def _flush(pmap, pending: list, pages: list) -> None:
+    """Enter the *pending* mappings with one
+    :meth:`~repro.pmap.interface.Pmap.enter_batch`, then clear the
+    busy bits of their *pages*."""
     if pmap is not None:
-        pmap.enter(page_addr, page.phys_addr, _PROT[prot_bits & 7],
-                   wired=wire_page)
-
-    page.referenced = True
-    if writing:
-        page.modified = True
-    if wire_page:
-        vm.resident.wire(page)
-    else:
-        vm.resident.activate(page)
-    page.busy = False
-
-    outcome.page = page
-    outcome.entered_prot = _PROT[prot_bits & 7]
-    if span is not None:
-        span.note(zero_filled=outcome.zero_filled,
-                  paged_in=outcome.paged_in,
-                  shadow_created=outcome.shadow_created,
-                  cow_copied=outcome.cow_copied,
-                  depth=level)
-    return outcome
+        pmap.enter_batch(pending)
+    for page in pages:
+        page.busy = False
+    pending.clear()
+    pages.clear()
 
 
 def _lookup_staged(kernel, vm_map, page_addr: int,
@@ -151,20 +256,6 @@ def _lookup_staged(kernel, vm_map, page_addr: int,
     return vm_map.lookup(page_addr, fault_type)
 
 
-def _find_page_staged(kernel, first_object, first_offset: int,
-                      outcome: FaultOutcome):
-    """:func:`_find_page` wrapped in a ``stage/shadow_walk`` span when
-    the bus has subscribers.  Pager calls and the zero fill open their
-    own stage spans inside it, so the walk's *self* time is the chain
-    descent alone."""
-    events = kernel.events
-    if events.active:
-        with events.span("stage", "shadow_walk"):
-            return _find_page(kernel, first_object, first_offset,
-                              outcome)
-    return _find_page(kernel, first_object, first_offset, outcome)
-
-
 def _prepare_entry(kernel, vm_map, result, page_addr: int,
                    fault_type: FaultType, writing: bool,
                    outcome: FaultOutcome):
@@ -173,7 +264,7 @@ def _prepare_entry(kernel, vm_map, result, page_addr: int,
     (possibly re-resolved) lookup result.  Idempotent for the pages of
     one entry run: after the first page has materialized/shadowed, the
     remaining pages fall through both branches untouched — which is why
-    the batch lane can run it once per run."""
+    :func:`vm_fault_batch` runs it once per run."""
     vm = kernel.vm
     entry = result.leaf_entry
 
@@ -235,7 +326,6 @@ def _finish_page(kernel, result, page, level: int, first_object,
                                                    page.offset, required)
             page.page_lock = new_lock
             if page.page_lock & required:
-                from repro.core.errors import ProtectionFailureError
                 raise ProtectionFailureError(
                     f"pager holds {page.page_lock!r} lock at "
                     f"{vaddr:#x}")
@@ -358,211 +448,15 @@ def _copy_up(kernel, source: VMPage, first_object, first_offset: int):
     return new_page
 
 
-# ======================================================================
-# The batch lane
-# ======================================================================
-
-
-def vm_fault_batch(kernel, task, vaddr: int, npages: int,
-                   fault_type: FaultType,
-                   wiring: bool = False) -> list[FaultOutcome]:
-    """Resolve *npages* consecutive page faults starting at the page
-    containing *vaddr*, batching runs against the same map entry.
-
-    Semantically equal to ``npages`` sequential :func:`vm_fault` calls
-    (same statistics, same simulated cost per fault, same semantic
-    events), but each object-run costs one map lookup, one shadow-chain
-    memo and one :meth:`~repro.pmap.interface.Pmap.enter_batch` — so at
-    most one TLB shootdown — instead of one of each per page.
-
-    Batching rules (also documented in ARCHITECTURE.md):
-
-    * a run breaks at map-entry boundaries (and re-resolves the map);
-    * per-page queue and page-state updates happen at resolution time
-      in scalar order; only the hardware enter (and the busy-clear)
-      is deferred to the batched flush;
-    * pending mappings are flushed to the pmap before any page whose
-      resolution could trigger synchronous reclamation (free memory
-      within two frames of the hard minimum), so the pageout daemon
-      sees the same candidate set the page-at-a-time path would have
-      produced — never a resolved-but-unmapped page;
-    * a copy-on-write copy-up collapses the shadow chain per page,
-      exactly like the scalar path — the chain memo re-walks after the
-      epoch bump, so the ≤1-walk guarantee applies to runs that do not
-      mutate the chain;
-    * on any error, pending mappings are flushed before the error
-      propagates, leaving every already-resolved page entered — the
-      state the scalar loop would have left behind.
-    """
-    if npages <= 0:
-        return []
-    vm = kernel.vm
-    start = vaddr & -vm.page_size
-    events = kernel.events
-    if events.active:
-        with events.span("vm", "fault_batch", task=task.name,
-                         vaddr=start, pages=npages,
-                         fault_type=fault_type.name):
-            return _resolve_batch(kernel, task, start, npages,
-                                  fault_type, wiring)
-    return _resolve_batch(kernel, task, start, npages, fault_type,
-                          wiring)
-
-
-def _covers(result, page_addr: int) -> bool:
-    """Does the run's lookup result still govern *page_addr*?"""
-    top = result.top_entry
-    if not top.contains(page_addr):
-        return False
-    leaf = result.leaf_entry
-    if leaf is top:
-        return True
-    return leaf.contains(top.offset_of(page_addr))
-
-
-def _resolve_batch(kernel, task, start: int, npages: int,
-                   fault_type: FaultType,
-                   wiring: bool) -> list[FaultOutcome]:
-    vm = kernel.vm
-    page_size = vm.page_size
-    vm_map = task.vm_map
-    pmap = vm_map.pmap
-    resident = vm.resident
-    events = kernel.events
-    clock = vm.clock
-    costs = vm.costs
-    # The modeled per-fault cost is unchanged: batching is a simulator
-    # wall-clock optimization, not a change to the paper's cost model
-    # (the Table 7-x benches stay pinned).
-    per_fault_us = costs.fault_trap_us + costs.fault_mi_us
-    writing = bool(int(fault_type) & _WRITE_BIT)
-    stats = kernel.stats
-
-    outcomes: list[FaultOutcome] = []
-    #: (page_addr, page, prot_bits, wired) awaiting one enter_batch.
-    #: Every pending page has already had its queue/state updates
-    #: (referenced, modified, wire-or-activate) applied in scalar
-    #: order; only the hardware enter and the busy-clear are deferred.
-    pending: list[tuple] = []
-
-    def flush() -> None:
-        if not pending:
-            return
-        if pmap is not None:
-            pmap.enter_batch([(addr, page.phys_addr, _PROT[bits & 7],
-                               wired) for addr, page, bits, wired
-                              in pending])
-        for _, page, _, _ in pending:
-            page.busy = False
-        pending.clear()
-
-    result = None
-    run_base = 0
-    run_first_shadowed = False
-
-    def step(cursor: int, outcome: FaultOutcome, span):
-        """One page of the run: run management (map lookup / entry
-        preparation on run boundaries, pre-reclaim flushing) plus the
-        page's resolution — everything the scalar path does inside
-        its ``vm/fault`` span except the pmap enter."""
-        nonlocal result, run_base, run_first_shadowed
-        if result is None or not _covers(result, cursor):
-            # New run: flush the finished one, re-resolve the map and
-            # prepare the entry (materialize / shadow) exactly once.
-            flush()
-            result = _lookup_staged(kernel, vm_map, cursor, fault_type)
-            prep_outcome = FaultOutcome(page=None)  # type: ignore
-            result = _prepare_entry(kernel, vm_map, result, cursor,
-                                    fault_type, writing, prep_outcome)
-            run_base = cursor
-            run_first_shadowed = prep_outcome.shadow_created
-        elif pending and \
-                resident.free_count < resident.free_min + 2:
-            # Enter what we have before a page whose resolution could
-            # trip synchronous reclamation (one resolution allocates
-            # at most two frames: a pagein plus a copy-up): the daemon
-            # must see the same queues/mappings the scalar loop would
-            # have built by now, never a resolved-but-unmapped page.
-            flush()
-        if run_first_shadowed:
-            outcome.shadow_created = True
-            run_first_shadowed = False
-        return _resolve_batch_page(kernel, result, run_base, cursor,
-                                   fault_type, writing, outcome, span)
-
-    end = start + npages * page_size
-    cursor = start
-    while cursor < end:
-        clock.charge(per_fault_us)
-        stats.faults += 1
-        outcome = FaultOutcome(page=None)  # type: ignore[arg-type]
-        try:
-            if events.active:
-                with events.span("vm", "fault", task=task.name,
-                                 vaddr=cursor,
-                                 fault_type=fault_type.name) as span:
-                    prot_bits, page = step(cursor, outcome, span)
-            else:
-                prot_bits, page = step(cursor, outcome, None)
-        except BaseException:
-            # Leave the state the scalar loop would have left: every
-            # already-resolved page entered and queued.
-            flush()
-            raise
-
-        # Queue/state updates happen now, in scalar order (a COW
-        # copy-up activates the source page mid-resolution; the copy
-        # must follow it immediately, as the scalar path queues it).
-        wire_page = wiring or result.wired
-        page.referenced = True
-        if writing:
-            page.modified = True
-        if wire_page:
-            resident.wire(page)
-        else:
-            resident.activate(page)
-        pending.append((cursor, page, prot_bits, wire_page))
-        outcome.entered_prot = _PROT[prot_bits & 7]
-        outcomes.append(outcome)
-        cursor += page_size
-
-    flush()
-    return outcomes
-
-
-def _resolve_batch_page(kernel, result, run_base: int, page_addr: int,
-                        fault_type: FaultType, writing: bool,
-                        outcome: FaultOutcome, span):
-    """Resolve one page of a batch run against the run's prepared
-    lookup result; returns ``(prot_bits, page)`` for the pending enter
-    list.  Mirrors the scalar steps (4)-(6) minus the pmap enter."""
-    first_object = result.leaf_entry.vm_object
-    first_offset = result.offset + (page_addr - run_base)
-    try:
-        page, level = _find_page_staged(kernel, first_object,
-                                        first_offset, outcome)
-    except (MemoryObjectError, DiskIOError):
-        kernel.stats.fault_errors += 1
-        raise
-    prot_bits = _finish_page(kernel, result, page, level, first_object,
-                             first_offset, page_addr, fault_type,
-                             writing, outcome)
-    if span is not None:
-        span.note(zero_filled=outcome.zero_filled,
-                  paged_in=outcome.paged_in,
-                  shadow_created=outcome.shadow_created,
-                  cow_copied=outcome.cow_copied,
-                  depth=level)
-    return prot_bits, outcome.page
-
-
 def resolve_task_fault(kernel, task, hw_fault) -> FaultOutcome:
     """Trap-handler entry: adjust an MMU-reported fault through the
     pmap's erratum hook (Section 5.1's NS32082 bug), then resolve it
-    through the kernel's pluggable resolver (the differential harness
-    swaps in the pinned reference implementation)."""
+    through the kernel's pluggable resolver as a run of one page (the
+    differential harness swaps in the pinned reference
+    implementation)."""
     pmap = task.vm_map.pmap
     fault_type = hw_fault.fault_type
     if pmap is not None:
         fault_type = pmap.translate_fault_type(hw_fault.vaddr, fault_type)
-    return kernel.fault_resolver(kernel, task, hw_fault.vaddr, fault_type)
+    return kernel.fault_resolver(kernel, task, hw_fault.vaddr, 1,
+                                 fault_type)[0]

@@ -1,19 +1,20 @@
 """The pinned page-at-a-time fault resolver.
 
 This module is the *reference* implementation of the fault path: a
-frozen copy of :func:`repro.core.fault.vm_fault` as it stood before the
-fault fast lane (batched resolution, memoized shadow-chain walks,
-int-keyed TLB slots) landed.  It is deliberately unoptimized and
-deliberately duplicated — the differential-testing harness under
-``tests/difftest/`` runs it lockstep against the fast path over seeded
+frozen page-at-a-time copy of the resolver as it stood before the fault
+fast lane (batched resolution, memoized shadow-chain walks, int-keyed
+TLB slots) landed, paging in through the pre-v2 one-page pager
+protocol.  It is deliberately unoptimized and deliberately duplicated —
+the differential-testing harness under ``tests/difftest/`` runs it
+lockstep against :func:`repro.core.fault.vm_fault_batch` over seeded
 random workloads on every registered pmap and asserts identical page
 contents, pmap/TLB state, ``KernelStats`` deltas and semantic event
 streams.  Sharing helpers with :mod:`repro.core.fault` would let an
 optimization bug silently change both sides at once, which is exactly
 what the harness exists to prevent.
 
-Keep this file in sync with the *semantics* of the fast path, never
-with its implementation.  Route a kernel through it with::
+Keep this file in sync with the *semantics* of the production resolver,
+never with its implementation.  Route a kernel through it with::
 
     from repro.core.fault_reference import vm_fault_reference
     kernel.fault_resolver = vm_fault_reference
@@ -21,36 +22,47 @@ with its implementation.  Route a kernel through it with::
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.core.constants import FaultType, VMProt, trunc_page
 from repro.core.errors import DiskIOError, MemoryObjectError
 from repro.core.fault import FaultOutcome
 from repro.core.page import VMPage
+from repro.pager.protocol import UNAVAILABLE, DataResult, \
+    capabilities_for, normalize_reply
 
 
-def vm_fault_reference(kernel, task, vaddr: int, fault_type: FaultType,
-                       wiring: bool = False) -> FaultOutcome:
-    """Resolve a page fault for *task* at *vaddr* (reference semantics).
+def vm_fault_reference(kernel, task, vaddr: int, npages: int,
+                       fault_type: FaultType,
+                       wiring: bool = False) -> list[FaultOutcome]:
+    """Resolve *npages* faults one page at a time, the first at *vaddr*
+    and the rest at the pages that follow it (reference semantics; the
+    resolver signature of :func:`repro.core.fault.vm_fault_batch`).
 
     Raises:
-        InvalidAddressError: nothing mapped at *vaddr*.
+        InvalidAddressError: nothing mapped at a faulting page.
         ProtectionFailureError: the mapping forbids the access.
     """
     vm = kernel.vm
     costs = vm.costs
-    vm.clock.charge(costs.fault_trap_us + costs.fault_mi_us)
-    kernel.stats.faults += 1
-    with kernel.events.span("vm", "fault", task=task.name, vaddr=vaddr,
-                            fault_type=fault_type.name) as span:
-        outcome = _resolve_fault(kernel, task, vaddr, fault_type,
-                                 wiring, span)
-    return outcome
+    start = trunc_page(vaddr, vm.page_size)
+    outcomes = []
+    for index in range(npages):
+        fault_addr = start + index * vm.page_size if index else vaddr
+        vm.clock.charge(costs.fault_trap_us + costs.fault_mi_us)
+        kernel.stats.faults += 1
+        with kernel.events.span("vm", "fault", task=task.name,
+                                vaddr=fault_addr,
+                                fault_type=fault_type.name) as span:
+            outcomes.append(_resolve_fault(kernel, task, fault_addr,
+                                           fault_type, wiring, span))
+    return outcomes
 
 
 def _resolve_fault(kernel, task, vaddr: int, fault_type: FaultType,
                    wiring: bool, span) -> FaultOutcome:
-    """The body of :func:`vm_fault_reference`, run inside its
-    ``vm/fault`` span (*span* collects the outcome for the closing
-    event)."""
+    """One page fault at *vaddr*, run inside its ``vm/fault`` span
+    (*span* collects the outcome for the closing event)."""
     vm = kernel.vm
     page_addr = trunc_page(vaddr, vm.page_size)
     vm_map = task.vm_map
@@ -203,7 +215,7 @@ def _find_page(kernel, first_object, first_offset: int,
             vm.resident.free(page)
 
         if obj.pager is not None and kernel.pager_has_data(obj, offset):
-            page = kernel.request_object_data_v1(obj, offset)
+            page = request_object_data_v1(kernel, obj, offset)
             if page is not None:
                 outcome.paged_in = True
                 kernel.stats.pageins += 1
@@ -258,3 +270,76 @@ def _copy_up(kernel, source: VMPage, first_object, first_offset: int):
         raise
     new_page.modified = True
     return new_page
+
+
+# ======================================================================
+# The v1 one-page pager protocol the reference pages in through
+# ======================================================================
+
+
+def request_object_data_v1(kernel, obj, offset: int) -> Optional[VMPage]:
+    """``pager_data_request`` in the pre-v2 one-page calling convention
+    (via :func:`one_page_request`): one blob per request, no readahead,
+    no scatter-gather — exactly the protocol the reference was frozen
+    against.  Failure policy is the kernel's own
+    (:meth:`~repro.core.kernel.MachKernel._call_pager`).
+    """
+    if obj.pager_dead:
+        return kernel._dead_pager_data(obj, offset)
+    page_size = kernel.page_size
+    cluster = max(capabilities_for(obj.pager).transfer_size
+                  or page_size, page_size)
+    base = offset - offset % cluster
+    obj.paging_in_progress += 1
+    try:
+        data = kernel._call_pager(
+            obj, "data_request",
+            lambda: one_page_request(obj.pager, obj, base, cluster,
+                                     VMProt.READ, page_size))
+    finally:
+        obj.paging_in_progress -= 1
+    if data is UNAVAILABLE or data is None:
+        return None
+    data = bytes(data)
+    if len(data) < cluster:
+        data += bytes(cluster - len(data))
+    resident = kernel.vm.resident
+    result = None
+    for off in range(base, base + cluster, page_size):
+        if off != offset and (off >= obj.size
+                              or resident.lookup(obj, off) is not None):
+            continue
+        page = kernel._install_provided_page(
+            obj, off, data[off - base:off - base + page_size], page_size)
+        if off == offset:
+            result = page
+        else:
+            resident.activate(page)
+    return result
+
+
+def one_page_request(pager, obj, offset: int, length: int,
+                     desired_access, page_size: int = 0) -> DataResult:
+    """The v1 calling convention as a thin shim over v2.
+
+    Issues a plain windowed ``data_request`` (no readahead hint) and
+    flattens the reply back into the old single-``DataResult`` shape:
+    *length* bytes at *offset* (zero-padded), or :data:`UNAVAILABLE`.
+    """
+    #: no-retry — callers run this shim inside the kernel's
+    #: _call_pager funnel, which owns retry/backoff/dead-pager policy.
+    reply = pager.data_request(obj, offset, length, desired_access)
+    pages = normalize_reply(reply, offset, length,
+                            page_size or length)
+    if not pages:
+        return UNAVAILABLE
+    step = page_size or length
+    out = bytearray(length)
+    provided = False
+    for base in range(offset, offset + length, step):
+        chunk = pages.get(base)
+        if chunk is None or chunk is UNAVAILABLE:
+            continue
+        provided = True
+        out[base - offset:base - offset + len(chunk)] = chunk
+    return bytes(out) if provided else UNAVAILABLE

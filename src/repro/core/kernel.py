@@ -3,13 +3,14 @@
 Boots a simulated machine, owns the machine-independent VM state
 (resident page table, object manager, paging daemon, default pager) and
 the machine-dependent pmap system, creates tasks, routes simulated MMU
-faults into :func:`repro.core.fault.vm_fault`, and implements the
+faults into :func:`repro.core.fault.vm_fault_batch`, and implements the
 Table 2-1 task operations plus message passing with copy-on-write
 out-of-line data transfer.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Optional
 
 from repro.core.address_map import AddressMap
@@ -24,7 +25,7 @@ from repro.core.errors import (
     PagerStallError,
     PagerTimeoutError,
 )
-from repro.core.fault import resolve_task_fault, vm_fault, vm_fault_batch
+from repro.core.fault import resolve_task_fault, vm_fault_batch
 from repro.core.page import VMPage
 from repro.core.pageout import PageoutDaemon
 from repro.core.resident import ResidentPageTable
@@ -37,7 +38,7 @@ from repro.ipc.message import Message
 from repro.ipc.port import DeadPortError, Port
 from repro.pager.default_pager import DefaultPager
 from repro.pager.protocol import UNAVAILABLE, capabilities_for, \
-    normalize_reply, one_page_request
+    normalize_reply
 from repro.pager.swap import SwapSpace
 from repro.pmap.interface import PmapSystem, ShootdownStrategy
 from repro.pmap.registry import pmap_class_for
@@ -104,13 +105,15 @@ class MachKernel:
         #: guarded-by kernel-funnel
         self.tasks: list[Task] = []
         self.max_fault_retries = 8
-        #: Pluggable page-fault resolver (signature of
-        #: :func:`repro.core.fault.vm_fault`).  The differential-testing
-        #: harness points this at the pinned reference implementation
+        #: Pluggable page-fault resolver, called for every fault as
+        #: ``(kernel, task, vaddr, npages, fault_type, wiring)`` (see
+        #: :func:`repro.core.fault.vm_fault_batch`).  The
+        #: differential-testing harness points this at the pinned
+        #: reference implementation
         #: (:func:`repro.core.fault_reference.vm_fault_reference`) to
-        #: run it lockstep against the fast lane.
+        #: run it lockstep against the production resolver.
         #: guarded-by boot-wiring
-        self.fault_resolver = vm_fault
+        self.fault_resolver = vm_fault_batch
         #: Pager failure policy (Section 4's "errant memory manager"
         #: defense).  A transient pager error is retried up to
         #: ``max_pager_retries`` times, charging ``pager_timeout_us``
@@ -457,31 +460,25 @@ class MachKernel:
     def fault(self, task: Task, vaddr: int, fault_type: FaultType):
         """Resolve one fault directly (without an MMU access) — used by
         tests and by wiring."""
-        result = self.fault_resolver(self, task, vaddr, fault_type)
+        result = self.fault_resolver(self, task, vaddr, 1, fault_type)[0]
         if self.sanitize_hook is not None:
             self.sanitize_hook(self)
         return result
 
     def fault_batch(self, task: Task, address: int, npages: int,
                     fault_type: FaultType, wiring: bool = False):
-        """Resolve *npages* consecutive faults starting at the page
-        containing *address* through the fast lane
-        (:func:`repro.core.fault.vm_fault_batch`): one map lookup, one
-        shadow-chain walk and at most one shootdown per object-run.
-
-        When a non-default :attr:`fault_resolver` is installed (the
-        differential harness's pinned reference), the run degrades to
-        page-at-a-time calls through it, so both lanes stay comparable
-        through one entry point.
-        """
-        if self.fault_resolver is vm_fault:
-            results = vm_fault_batch(self, task, address, npages,
-                                     fault_type, wiring=wiring)
-        else:
-            start = address - address % self.page_size
-            results = [self.fault_resolver(
-                self, task, start + index * self.page_size, fault_type,
-                wiring=wiring) for index in range(npages)]
+        """Resolve *npages* consecutive faults, the first at *address*,
+        through :attr:`fault_resolver` inside one ``vm/fault_batch``
+        span (:func:`repro.core.fault.vm_fault_batch`: one map lookup,
+        one shadow-chain walk and at most one shootdown per
+        object-run)."""
+        events = self.events
+        with (events.span("vm", "fault_batch", task=task.name,
+                          vaddr=address - address % self.page_size,
+                          pages=npages, fault_type=fault_type.name)
+              if events.active else nullcontext()):
+            results = self.fault_resolver(self, task, address, npages,
+                                          fault_type, wiring)
         if self.sanitize_hook is not None:
             self.sanitize_hook(self)
         return results
@@ -744,48 +741,6 @@ class MachKernel:
                 self.vm.resident.activate(page)
                 if off < base or off >= base + cluster:
                     self.stats.readahead_pageins += 1
-        return result
-
-    def request_object_data_v1(self, obj,
-                               offset: int) -> Optional[VMPage]:
-        """The pre-v2 one-page calling convention, kept as a thin shim
-        (via :func:`repro.pager.protocol.one_page_request`) for the
-        pinned difftest reference resolver: one blob per request, no
-        readahead, no scatter-gather — exactly the protocol the
-        reference was frozen against.
-        """
-        if obj.pager_dead:
-            return self._dead_pager_data(obj, offset)
-        page_size = self.page_size
-        cluster = max(capabilities_for(obj.pager).transfer_size
-                      or page_size, page_size)
-        base = offset - offset % cluster
-        obj.paging_in_progress += 1
-        try:
-            data = self._call_pager(
-                obj, "data_request",
-                lambda: one_page_request(obj.pager, obj, base, cluster,
-                                         VMProt.READ, page_size))
-        finally:
-            obj.paging_in_progress -= 1
-        if data is UNAVAILABLE or data is None:
-            return None
-        data = bytes(data)
-        if len(data) < cluster:
-            data += bytes(cluster - len(data))
-        result = None
-        for off in range(base, base + cluster, page_size):
-            if off != offset and (off >= obj.size
-                                  or self.vm.resident.lookup(obj, off)
-                                  is not None):
-                continue
-            page = self._install_provided_page(
-                obj, off, data[off - base:off - base + page_size],
-                page_size)
-            if off == offset:
-                result = page
-            else:
-                self.vm.resident.activate(page)
         return result
 
     def _install_provided_page(self, obj, off: int, data,

@@ -2,10 +2,10 @@
 
 :class:`FaultTelemetry` subscribes to the :class:`~repro.obs.bus.EventBus`
 and turns the span stream into a fault-latency distribution with
-per-stage attribution.  Every ``vm/fault`` span (either lane — the
-scalar reference path or the batch fast lane) becomes one latency
-sample; stage spans nested inside it attribute slices of that latency
-to the fault pipeline's stages:
+per-stage attribution.  Every ``vm/fault`` span (one per faulting page,
+whether an MMU trap or a page of a ``fault_batch`` run) becomes one
+latency sample; stage spans nested inside it attribute slices of that
+latency to the fault pipeline's stages:
 
 ========== =========================== ==============================
 stage      bus span                    what it covers
@@ -30,11 +30,13 @@ other      (derived)                   fault time none of the stages
 Attribution is by *self time*: a stage's sample is its span duration
 minus the durations of stage spans nested inside it (``pager/call``
 inside ``stage/shadow_walk`` bills the RPC to ``pager_wait``, not to
-the walk).  Stage spans seen outside any open fault — the batch lane's
-deferred ``pmap/enter_batch`` flush, a shootdown from the pageout
-daemon — accumulate in :attr:`outside_us` so no stage time is silently
-dropped.  All durations are *simulated* microseconds off the machine
-clock, so reports are deterministic for a given seed.
+the walk).  A run's ``pmap/enter_batch`` flush lands inside the
+``vm/fault`` span of the page that ends the run.  Stage spans seen
+outside any open fault — a shootdown from the pageout daemon, the
+flush of a run cut short by an error — accumulate in
+:attr:`outside_us` so no stage time is silently dropped.  All
+durations are *simulated* microseconds off the machine clock, so
+reports are deterministic for a given seed.
 
 Distributions go into the bounded log-bucket
 :class:`~repro.obs.metrics.Histogram` (no raw samples kept); the K
@@ -136,7 +138,7 @@ class FaultTelemetry:
             for stage in STAGES
         }
         #: stage self-time observed outside any open fault span
-        #: (deferred batch flushes, daemon shootdowns).
+        #: (daemon shootdowns, flushes after a failed fault).
         self.outside_us: Dict[str, float] = {}
         self.fault_errors = 0
         self._tracks: Dict[str, _TrackState] = {}

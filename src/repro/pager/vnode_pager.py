@@ -75,14 +75,20 @@ class VnodePager(PagerProtocol):
     def data_write(self, obj, offset: int, data: bytes) -> None:
         """PagerProtocol: accept page-out data.
 
+        The write is clipped at end of file: the part of a page that
+        lies past it (the zero fill of a partial last page) never
+        reaches the file, so paging out never changes the file's size.
+
         On :class:`~repro.core.errors.DiskIOError` the page's previous
         backing-store contents survive; the kernel keeps the page dirty
         and retries the pageout later.
         """
         self.pageouts += 1
-        #: no-retry — on failure the kernel keeps the page dirty and
-        #: retries the whole pageout via the _call_pager funnel.
-        self.fs.write_direct(self.inode, offset, data)
+        data = data[:max(0, self.inode.size - offset)]
+        if data:
+            #: no-retry — on failure the kernel keeps the page dirty and
+            #: retries the whole pageout via the _call_pager funnel.
+            self.fs.write_direct(self.inode, offset, data)
 
     def has_data(self, obj, offset: int) -> bool:
         """Cheap residency probe used by the fault handler."""

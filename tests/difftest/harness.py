@@ -3,13 +3,13 @@
 Two kernels are booted on the same machine spec and driven through the
 same seeded random workload:
 
-* the **fast** kernel uses the default resolver
-  (:func:`repro.core.fault.vm_fault`) and the batch lane
-  (:func:`repro.core.fault.vm_fault_batch`);
+* the **fast** kernel uses the default resolver,
+  :func:`repro.core.fault.vm_fault_batch`, for every fault: an MMU trap
+  is a run of one page, ``kernel.fault_batch`` a longer run;
 * the **reference** kernel installs
   :func:`repro.core.fault_reference.vm_fault_reference`, the pinned
-  page-at-a-time copy of the resolver; ``kernel.fault_batch`` then
-  degrades to a scalar loop.
+  page-at-a-time resolver with the same signature, which resolves a
+  run as a loop of single-page faults.
 
 After every workload both kernels are fingerprinted — address-map
 shape, per-page hardware mappings *and page contents*, TLB contents,
@@ -347,7 +347,8 @@ def normalize_events(events) -> list[tuple]:
     first-seen ordinals.  ``vm/fault_batch`` wrapper spans and the
     ``pmap/*`` spans are mechanism, not semantics (the batch lane
     deliberately emits ``pmap/enter_batch`` + one shootdown where the
-    scalar lane emits N ``pmap/enter``), so they are dropped.
+    page-at-a-time reference emits N ``pmap/enter``), so they are
+    dropped.
     """
     rename_obj = _Renamer()
     rows = []

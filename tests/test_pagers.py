@@ -150,6 +150,19 @@ class TestVnodePager:
         addr = map_file(kernel, task, fs, "/short", size=PAGE)
         assert task.read(addr, 5) == b"end\x00\x00"
 
+    def test_pageout_of_partial_last_page_keeps_file_size(self, kernel,
+                                                          task, fs):
+        # A dirty last page that the file only partly covers is written
+        # back up to end of file, never padded out to the page.
+        data = bytes(range(256)) * 19 + b"tail" * 34        # 5000 bytes
+        fs.write("/partial", data)
+        addr = map_file(kernel, task, fs, "/partial")
+        task.write(addr + 4500, b"Z")
+        kernel.pageout_daemon.run(
+            target=kernel.vm.resident.physmem.total_frames)
+        assert fs.lookup("/partial").size == 5000
+        assert fs.read("/partial") == data[:4500] + b"Z" + data[4501:]
+
 
 class TestNetMemory:
     def test_copy_on_reference(self, kernel, task):

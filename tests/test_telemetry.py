@@ -48,7 +48,7 @@ from repro.obs import (
     format_latency_report,
     validate_chrome_trace,
 )
-from repro.obs.bus import EventBus
+from repro.obs.bus import EventBus, EventRecorder
 from repro.obs.metrics import Histogram
 from tests.difftest.harness import (
     ARCHS,
@@ -269,6 +269,65 @@ class TestFaultTelemetryAttribution:
         assert "share" in text
         for stage in report["stages"]:
             assert stage in text
+
+
+# ---------------------------------------------------------------------
+# One fault path: the MMU trap is a batch of one
+# ---------------------------------------------------------------------
+
+def _span_names(events) -> list:
+    return [f"{e.subsystem}/{e.kind}" for e in events if e.phase == "B"]
+
+
+class TestSingleFaultLane:
+
+    def _trap_fault_events(self):
+        kernel = boot()
+        task = kernel.task_create(name="trap")
+        addr = task.vm_allocate(2 * kernel.page_size)
+        vaddr = addr + 123
+        with EventRecorder(kernel.events) as recorder:
+            task.read(vaddr, 1)
+        return vaddr, recorder.events
+
+    def test_trap_fault_is_one_span_with_unaligned_vaddr(self):
+        vaddr, events = self._trap_fault_events()
+        faults = [e for e in events
+                  if e.subsystem == "vm" and e.kind == "fault"
+                  and e.phase == "B"]
+        assert len(faults) == 1
+        assert faults[0].data["vaddr"] == vaddr
+
+    def test_trap_fault_emits_no_batch_span(self):
+        _, events = self._trap_fault_events()
+        assert "vm/fault" in _span_names(events)
+        assert "vm/fault_batch" not in _span_names(events)
+
+    def test_trap_fault_pmap_enter_nested_in_its_fault_span(self):
+        _, events = self._trap_fault_events()
+        names = [(f"{e.subsystem}/{e.kind}", e.phase) for e in events]
+        begin = names.index(("vm/fault", "B"))
+        end = names.index(("vm/fault", "E"))
+        enters = [i for i, (name, _) in enumerate(names)
+                  if name in ("pmap/enter", "pmap/enter_batch")]
+        assert enters, "the trap fault entered no mapping"
+        assert all(begin < i < end for i in enters)
+
+    def test_one_run_fault_batch_leaves_no_pmap_enter_outside(self):
+        kernel = boot()
+        page = kernel.page_size
+        task = kernel.task_create(name="run")
+        addr = task.vm_allocate(4 * page)
+        for off in range(0, 4 * page, page):
+            task.write(addr + off, b"w")
+        for off in range(0, 4 * page, page):
+            task.pmap.forget(addr + off)
+        with FaultTelemetry().attach(kernel) as telemetry:
+            kernel.fault_batch(task, addr, 4, FaultType.READ)
+        report = telemetry.report()
+        assert report["faults"] == 4
+        assert report["stages"]["pmap_enter"]["count"] > 0
+        assert "pmap_enter" not in report["outside_us"]
 
 
 # ---------------------------------------------------------------------
