@@ -7,22 +7,30 @@
   pmap/TLB translation is a subset of machine-independent truth;
 * :mod:`repro.analysis.sweeps` — workload sweeps that drive the
   sanitizer across all five pmap architectures;
-* :mod:`repro.analysis.race` — the concurrency sanitizer: may-yield
-  atomicity lint, ``#: guarded-by`` contract, and a vector-clock
-  happens-before checker for TLB shootdown;
+* :mod:`repro.analysis.race` — the concurrency sanitizer: the
+  ``#: guarded-by`` contract, the may-yield atomicity lint (a flow
+  pass on call-graph summaries), and a vector-clock happens-before
+  checker for TLB shootdown;
 * :mod:`repro.analysis.schedules` — schedule policies (seeded-random,
   recording/replay) and bounded DFS exploration of interleavings;
 * :mod:`repro.analysis.cfg` / :mod:`repro.analysis.flow` — the AST→CFG
   dataflow framework (exception edges, yield points, forward worklist
-  solver) shared by the flow passes;
+  solver) and the cached runner of the flow passes;
+* :mod:`repro.analysis.callgraph` — the interprocedural call graph and
+  bottom-up function summaries every flow pass reads, and the one
+  definition of a thread body and a preemption point;
+* :mod:`repro.analysis.typestate` — the one protocol engine:
+  declarative ``ProtocolSpec`` tables run over each function's CFG
+  with callee summaries; checks the page, vm_object, map-entry and
+  shootdown-before-yield protocols;
 * :mod:`repro.analysis.lifecycle` — resource acquire/release pairing
   along all paths (swap slots, vm_object references, resident pages,
-  holding maps, port rights);
+  holding maps, port rights), as protocol tables on that engine;
 * :mod:`repro.analysis.conformance` — pmap MI-contract verifier over
   the live registry (coverage, signatures, TLB invalidation,
   reach-around imports);
 * :mod:`repro.analysis.errorpaths` — transient-error call sites must
-  meet the PR 2 retry policy (or carry ``#: no-retry``); broad
+  meet the kernel's retry policy (or carry ``#: no-retry``); broad
   swallowing excepts in kernel paths are flagged;
 * :mod:`repro.analysis.determinism` — no wall clock / unseeded
   randomness in replayed simulation code.
@@ -57,7 +65,6 @@ from repro.analysis.race import (
     RaceDetector,
     RaceReport,
     explore_shootdown,
-    lint_atomicity,
     lint_atomicity_source,
     lint_concurrency,
     lint_guarded_by,
@@ -93,7 +100,6 @@ __all__ = [
     "explore_schedules",
     "explore_shootdown",
     "install_sanitizer",
-    "lint_atomicity",
     "lint_atomicity_source",
     "lint_concurrency",
     "lint_guarded_by",

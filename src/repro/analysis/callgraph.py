@@ -1,6 +1,6 @@
 """AST-derived interprocedural call graph with effect summaries.
 
-The four PR 6 flow passes are strictly intraprocedural: a helper that
+Per-function flow analyses are intraprocedural: a helper that
 frees a page its caller still touches, or a wrapper whose transient
 error surfaces three frames up, is invisible to them.  This module
 supplies the missing layer:
@@ -21,21 +21,26 @@ supplies the missing layer:
   a fixpoint so recursion (and mutual recursion) converges.
 
 Consumers: :mod:`repro.analysis.typestate` supplies the ``local``
-analysis and checks protocol rules with the results;
-:mod:`repro.analysis.lifecycle` and :mod:`repro.analysis.errorpaths`
-replace their per-function ownership-handoff special cases with
-summary lookups at call sites.
+analysis and runs its protocol engine over the results, for its own
+protocols and for :mod:`repro.analysis.lifecycle`'s ownership tables;
+:mod:`repro.analysis.errorpaths` checks summary-propagated transient
+errors at call sites; the may-yield atomicity pass in
+:mod:`repro.analysis.race` reads ``may_yield`` at call sites.  The
+thread-body and preemption-point definitions all of them share live
+here too (:func:`is_thread_body`, :func:`is_preemption_call`).
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 __all__ = [
-    "CallGraph", "FunctionInfo", "Summary", "build_callgraph",
-    "compute_summaries", "join_summaries", "strongly_connected",
+    "CallGraph", "FunctionInfo", "Summary", "attr_chain",
+    "build_callgraph", "compute_summaries", "ctx_params",
+    "is_preemption_call", "is_thread_body", "join_summaries",
+    "spawned_names", "strongly_connected",
 ]
 
 #: Receiver names that pin a method call to one class: ``x.resident.free``
@@ -60,17 +65,83 @@ _AMBIENT_NAMES = frozenset({
 })
 
 
-def _attr_chain(expr: ast.AST) -> list[str]:
+#: ``ThreadContext`` methods that run on the thread's CPU and may fault
+#: or suspend: every call through a context parameter is a preemption
+#: point.
+CTX_METHODS = ("read", "write", "rmw")
+
+#: Entering the fault handler can block the faulting thread on a pager
+#: round-trip, so calls into it are preemption points too.
+FAULT_ENTRY = ("vm_fault_batch", "resolve_task_fault")
+
+
+def attr_chain(expr: ast.AST, partial: bool = False) -> list[str]:
     """``self.vm.resident.allocate`` -> ["self", "vm", "resident",
-    "allocate"]; [] when not a plain name/attribute chain."""
+    "allocate"].  An expression that is not a plain name/attribute
+    chain gives [] -- or, with *partial*, its trailing attribute names
+    (``f().time.time`` -> ["time", "time"])."""
     parts: list[str] = []
     while isinstance(expr, ast.Attribute):
         parts.append(expr.attr)
         expr = expr.value
     if isinstance(expr, ast.Name):
         parts.append(expr.id)
-        return list(reversed(parts))
-    return []
+    elif not partial:
+        return []
+    parts.reverse()
+    return parts
+
+
+def ctx_params(func: ast.AST) -> frozenset[str]:
+    """Parameters through which *func* receives a ThreadContext: named
+    ``ctx`` or annotated ``ThreadContext``."""
+    names = set()
+    args = func.args
+    for arg in list(args.posonlyargs) + list(args.args) \
+            + list(args.kwonlyargs):
+        ann = arg.annotation
+        if arg.arg == "ctx" \
+                or (isinstance(ann, ast.Name)
+                    and ann.id == "ThreadContext") \
+                or (isinstance(ann, ast.Attribute)
+                    and ann.attr == "ThreadContext") \
+                or (isinstance(ann, ast.Constant)
+                    and ann.value == "ThreadContext"):
+            names.add(arg.arg)
+    return frozenset(names)
+
+
+def spawned_names(nodes: Iterable[ast.AST]) -> frozenset[str]:
+    """Names passed to a ``<scheduler>.spawn(...)`` call among *nodes*
+    (e.g. ``ast.walk(tree)``)."""
+    spawned = set()
+    for node in nodes:
+        if isinstance(node, ast.Call) \
+                and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "spawn":
+            for arg in list(node.args) + [kw.value for kw in node.keywords]:
+                if isinstance(arg, ast.Name):
+                    spawned.add(arg.id)
+    return frozenset(spawned)
+
+
+def is_thread_body(func: ast.AST, spawned: frozenset[str]) -> bool:
+    """A scheduler thread body -- the one place a ``yield`` preempts
+    rather than iterates: a function that takes a ThreadContext, or
+    whose name is passed to ``.spawn()`` in its module (*spawned*)."""
+    return bool(ctx_params(func)) or func.name in spawned
+
+
+def is_preemption_call(call: ast.Call, ctx_names: frozenset[str]) -> bool:
+    """A call that can give up the CPU by itself: fault entry, or a
+    ``ThreadContext`` access through one of *ctx_names*."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id in FAULT_ENTRY
+    return isinstance(func, ast.Attribute) and (
+        func.attr in FAULT_ENTRY
+        or (func.attr in CTX_METHODS and isinstance(func.value, ast.Name)
+            and func.value.id in ctx_names))
 
 
 @dataclass
@@ -84,6 +155,8 @@ class FunctionInfo:
     cls: Optional[str]       # enclosing class name, None for plain defs
     func: ast.AST            # the FunctionDef / AsyncFunctionDef node
     params: tuple[str, ...]  # positional parameter names (incl. self)
+    #: names passed to ``.spawn()`` in the module (:func:`is_thread_body`)
+    spawned: frozenset[str] = frozenset()
 
     @property
     def is_method(self) -> bool:
@@ -138,7 +211,7 @@ class CallGraph:
         that conservatively (no summary effects), never as "no effect
         proven".
         """
-        chain = _attr_chain(call.func)
+        chain = attr_chain(call.func)
         if not chain:
             return ()
         name = chain[-1]
@@ -200,15 +273,17 @@ def build_callgraph(modules: Iterable[tuple[str, ast.AST]]) -> CallGraph:
     graph = CallGraph()
     per_module: list[tuple[str, ast.AST]] = list(modules)
     for module, tree in per_module:
-        classes = frozenset(n.name for n in ast.walk(tree)
+        nodes = list(ast.walk(tree))
+        classes = frozenset(n.name for n in nodes
                             if isinstance(n, ast.ClassDef))
+        spawned = spawned_names(nodes)
         for qualname, func in iter_functions(tree):
             fid = f"{module}:{qualname}"
             graph._add(FunctionInfo(
                 fid=fid, module=module, qualname=qualname,
                 name=qualname.split(".")[-1],
                 cls=_class_of(qualname, classes), func=func,
-                params=_params_of(func)))
+                params=_params_of(func), spawned=spawned))
     for info in graph.functions.values():
         callees: set[str] = set()
         for node in ast.walk(info.func):

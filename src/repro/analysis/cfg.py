@@ -291,6 +291,22 @@ def build_cfg(func: ast.AST) -> CFG:
     return _Builder(func).build()
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def walk_local(node: ast.AST) -> Iterator[ast.AST]:
+    """``ast.walk`` over what executes in *node*'s own scope: nested
+    functions, lambdas and classes are not entered (their bodies run
+    elsewhere, or later)."""
+    stack = [node]
+    while stack:
+        cur = stack.pop()
+        yield cur
+        for child in ast.iter_child_nodes(cur):
+            if not isinstance(child, _SCOPES):
+                stack.append(child)
+
+
 def iter_functions(tree: ast.AST) -> Iterator[tuple[str, ast.AST]]:
     """Yield ``(dotted qualname, FunctionDef)`` for every function in
     *tree*, including methods and nested functions."""

@@ -22,10 +22,9 @@ clock on purpose), ``cli``, ``analysis``, and ``viz``.
 from __future__ import annotations
 
 import ast
-from pathlib import Path
-from typing import Optional
 
-from repro.analysis.flow import Finding, iter_source_modules
+from repro.analysis.callgraph import attr_chain
+from repro.analysis.flow import Finding
 from repro.analysis.layering import _strip
 
 PASS_NAME = "determinism"
@@ -44,16 +43,6 @@ WALL_CLOCK_FNS = frozenset({
 DATETIME_FNS = frozenset({"now", "utcnow", "today"})
 RANDOM_OK = frozenset({"Random", "SystemRandom"})  # SystemRandom caught
 UUID_BAD = frozenset({"uuid1", "uuid4"})
-
-
-def _chain(expr: ast.AST) -> list[str]:
-    parts: list[str] = []
-    while isinstance(expr, ast.Attribute):
-        parts.append(expr.attr)
-        expr = expr.value
-    if isinstance(expr, ast.Name):
-        parts.append(expr.id)
-    return list(reversed(parts))
 
 
 class _ModuleChecker(ast.NodeVisitor):
@@ -115,7 +104,7 @@ class _ModuleChecker(ast.NodeVisitor):
                     "replay seeds cannot reproduce OS entropy")
 
     def visit_Call(self, node: ast.Call) -> None:
-        chain = _chain(node.func)
+        chain = attr_chain(node.func, partial=True)
         if len(chain) >= 2:
             root, tail = chain[0], chain[-1]
             if root == "time" and tail in WALL_CLOCK_FNS:
@@ -168,13 +157,3 @@ def in_scope(module: str, package: str = "repro") -> bool:
         return False
     return inner.split(".")[0] not in EXEMPT
 
-
-def run_pass(root: Optional[Path] = None,
-             package: str = "repro") -> list[Finding]:
-    """Determinism-lint every simulation module in the tree."""
-    findings: list[Finding] = []
-    for module, _path, tree in iter_source_modules(root, package):
-        if not in_scope(module, package):
-            continue
-        findings += check_module(module, tree)
-    return findings

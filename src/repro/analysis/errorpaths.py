@@ -31,16 +31,16 @@ are exempt, as are the analysis/bench/CLI layers.
 from __future__ import annotations
 
 import ast
-from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
-from repro.analysis.flow import Finding, iter_source_modules
+from repro.analysis.callgraph import is_thread_body, spawned_names
+from repro.analysis.flow import Finding
 from repro.analysis.layering import _strip
 
 PASS_NAME = "errorpaths"
 
 #: Part of the incremental-cache key: bump on any behavior change.
-PASS_VERSION = "2"
+PASS_VERSION = "3"
 
 #: Packages whose code counts as kernel paths.
 SCOPE = ("core", "pager", "ipc", "fs")
@@ -77,7 +77,7 @@ def _exc_name(expr: Optional[ast.AST]) -> list[str]:
     return []
 
 
-def _catches_transient(handler: ast.ExceptHandler) -> bool:
+def catches_transient(handler: ast.ExceptHandler) -> bool:
     names = _exc_name(handler.type)
     return "<bare>" in names or any(n in CATCHERS for n in names)
 
@@ -98,24 +98,6 @@ def _call_tail(call: ast.Call) -> Optional[str]:
     return None
 
 
-def _takes_thread_context(func: ast.AST) -> bool:
-    """True for scheduler thread bodies: a parameter named ``ctx`` or
-    annotated ``ThreadContext`` (the same convention the race pass
-    uses to find preemption points)."""
-    for arg in (list(func.args.posonlyargs) + list(func.args.args)
-                + list(func.args.kwonlyargs)):
-        ann = arg.annotation
-        if arg.arg == "ctx" \
-                or (isinstance(ann, ast.Name)
-                    and ann.id == "ThreadContext") \
-                or (isinstance(ann, ast.Attribute)
-                    and ann.attr == "ThreadContext") \
-                or (isinstance(ann, ast.Constant)
-                    and ann.value == "ThreadContext"):
-            return True
-    return False
-
-
 def _annotated(lines: list[str], lineno: int) -> bool:
     """True when the call line, or the contiguous comment block
     directly above it, carries the ``#: no-retry`` annotation."""
@@ -132,11 +114,27 @@ def _annotated(lines: list[str], lineno: int) -> bool:
     return False
 
 
+def transient_escapes(call: ast.Call, lines: Optional[list[str]],
+                      callee_propagates: Callable[[ast.Call], bool]) -> bool:
+    """Does a transient error escape to the caller through *call*, a
+    call site no retry handling encloses?  True for a ``#: no-retry``
+    transient op (the annotation *means* "my caller retries"), and for
+    an unannotated call to a callee that itself propagates."""
+    tail = _call_tail(call)
+    if tail == "_call_pager":
+        return False                # the retry funnel itself
+    annotated = lines is not None and _annotated(lines, call.lineno)
+    if tail in TRANSIENT_OPS:
+        return annotated
+    return not annotated and callee_propagates(call)
+
+
 class _ModuleChecker(ast.NodeVisitor):
     def __init__(self, module: str, source_lines: list[str],
-                 ctx=None) -> None:
+                 spawned: frozenset[str], ctx=None) -> None:
         self.module = module
         self.lines = source_lines
+        self.spawned = spawned    # names passed to .spawn() in the module
         self.ctx = ctx            # typestate.AnalysisContext or None
         self.findings: list[Finding] = []
         self._protected = 0       # depth of try-with-catcher / funnel
@@ -151,7 +149,7 @@ class _ModuleChecker(ast.NodeVisitor):
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._scope.append(node.name)
-        self._thread_body.append(_takes_thread_context(node))
+        self._thread_body.append(is_thread_body(node, self.spawned))
         self.generic_visit(node)
         self._thread_body.pop()
         self._scope.pop()
@@ -166,7 +164,7 @@ class _ModuleChecker(ast.NodeVisitor):
     # -- the two rules -----------------------------------------------------
 
     def visit_Try(self, node: ast.Try) -> None:
-        protects = any(_catches_transient(h) for h in node.handlers)
+        protects = any(catches_transient(h) for h in node.handlers)
         if protects:
             self._protected += 1
         for stmt in node.body + node.orelse:
@@ -249,7 +247,8 @@ def check_module(module: str, tree: ast.AST,
     """Run the error-path rules over one parsed module.  With a
     :class:`repro.analysis.typestate.AnalysisContext`, calls to
     functions whose summaries propagate transients are checked too."""
-    checker = _ModuleChecker(module, source_lines, ctx)
+    checker = _ModuleChecker(module, source_lines,
+                             spawned_names(ast.walk(tree)), ctx)
     checker.visit(tree)
     return checker.findings
 
@@ -259,14 +258,3 @@ def in_scope(module: str, package: str = "repro") -> bool:
     inner = _strip(module, package)
     return inner is not None and inner.split(".")[0] in SCOPE
 
-
-def run_pass(root: Optional[Path] = None,
-             package: str = "repro") -> list[Finding]:
-    """Error-path-check every kernel-path module in the tree."""
-    findings: list[Finding] = []
-    for module, path, tree in iter_source_modules(root, package):
-        if not in_scope(module, package):
-            continue
-        lines = path.read_text().splitlines()
-        findings += check_module(module, tree, lines)
-    return findings

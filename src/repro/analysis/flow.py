@@ -1,9 +1,10 @@
 """Dataflow pass framework: findings, solver, baseline, runner.
 
-This is the shared machinery behind the five flow passes
+This is the shared machinery behind the six flow passes
 (:mod:`~repro.analysis.lifecycle`, :mod:`~repro.analysis.conformance`,
 :mod:`~repro.analysis.errorpaths`, :mod:`~repro.analysis.determinism`,
-:mod:`~repro.analysis.typestate`):
+:mod:`~repro.analysis.typestate`, and the may-yield ``atomicity`` lint
+of :mod:`~repro.analysis.race`):
 
 * :class:`Finding` — one diagnosed problem, printable in the same
   ``module:line: [rule] message`` shape as the layering lint's
@@ -225,7 +226,7 @@ def _module_pass_registry() -> dict[str, _ModulePass]:
     # Imported lazily so a crash importing one pass is reported as an
     # AnalysisError for that pass, not an ImportError killing check.
     from repro.analysis import determinism, errorpaths, lifecycle
-    from repro.analysis import typestate
+    from repro.analysis import race, typestate
     return {
         "lifecycle": _ModulePass(
             lifecycle.PASS_VERSION, lifecycle.in_scope,
@@ -243,11 +244,15 @@ def _module_pass_registry() -> dict[str, _ModulePass]:
             typestate.PASS_VERSION, typestate.in_scope,
             lambda module, tree, lines, ctx:
                 typestate.check_module(module, tree, ctx)),
+        race.ATOMICITY_PASS: _ModulePass(
+            race.ATOMICITY_VERSION, race.atomicity_in_scope,
+            lambda module, tree, lines, ctx:
+                race.check_atomicity(module, tree, ctx)),
     }
 
 
 FLOW_PASS_NAMES = ("lifecycle", "conformance", "errorpaths",
-                   "determinism", "typestate")
+                   "determinism", "typestate", "atomicity")
 
 #: Pseudo-module name for the whole-tree conformance result.
 CONFORMANCE_KEY = "#conformance"

@@ -9,14 +9,16 @@ software analogue, MI code caching mutable VM state across a preemption
 point — mechanically checkable, extending the PR-1 sanitizer from
 layering and end-state invariants to *time*.
 
-Static half (stdlib ``ast``, same style as :mod:`.layering`):
+Static half (stdlib ``ast``):
 
-* **may-yield atomicity** — compute which functions can transitively
-  reach a preemption point (a ``yield`` in a thread body,
-  ``ThreadContext.read``/``write``/``rmw``, or fault entry) and flag
-  code that reads shared kernel state, crosses a may-yield call, then
-  writes based on the stale read (rules ``atomicity-hazard`` and
-  ``stale-read-across-yield``).  The kernel funnel modules
+* **may-yield atomicity** — the ``atomicity`` flow pass.  The
+  call-graph summaries (:mod:`.callgraph`) say which functions can
+  transitively reach a preemption point (a ``yield`` in a thread
+  body, ``ThreadContext.read``/``write``/``rmw``, or fault entry);
+  the pass flags code that reads shared kernel state, crosses a
+  may-yield call, then writes based on the stale read (rules
+  ``atomicity-hazard`` and ``stale-read-across-yield``).  It shares
+  the flow runner's context and cache.  The kernel funnel modules
   (``core.kernel``, ``core.fault``, ``core.pageout``) are exempt: they
   run under the map/object locks whose contract the guarded-by half
   checks.
@@ -58,11 +60,18 @@ import ast
 import re
 import zlib
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.analysis.layering import LintViolation, _module_name, _within
+from repro.analysis.callgraph import (
+    FunctionInfo, ctx_params, is_preemption_call, is_thread_body,
+)
+from repro.analysis.cfg import iter_functions, walk_local
+from repro.analysis.flow import Finding
+from repro.analysis.layering import (
+    LintViolation, _module_name, _strip, _within,
+)
 from repro.analysis.schedules import (
     ExplorationResult,
     RecordingPolicy,
@@ -71,6 +80,7 @@ from repro.analysis.schedules import (
 )
 from repro.analysis.invariants import assert_all
 from repro.analysis.sweeps import SWEEP_ARCHS, _spec
+from repro.analysis.typestate import build_context
 from repro.core.kernel import MachKernel
 from repro.core.constants import VMProt
 from repro.pmap.interface import ShootdownStrategy
@@ -309,16 +319,15 @@ def lint_guarded_by(root: Path, package: str = "repro",
 
 
 # ======================================================================
-# Static half 2/2: may-yield call-graph and atomicity hazards
+# Static half 2/2: may-yield atomicity on call-graph summaries
 # ======================================================================
 
-#: Methods of ``ThreadContext`` that run on the thread's CPU and may
-#: fault / suspend — every call is a preemption point.
-_CTX_METHODS = ("read", "write", "rmw")
+#: Flow-pass name of the atomicity lint (cached per module by
+#: :func:`repro.analysis.flow.run_flow_passes`).
+ATOMICITY_PASS = "atomicity"
 
-#: Entering the fault handler can block the faulting thread (pager
-#: round-trips), so calls into it are preemption points too.
-_FAULT_ENTRY = ("vm_fault_batch", "resolve_task_fault")
+#: Part of the flow-pass cache key: bump on any behavior change.
+ATOMICITY_VERSION = "1"
 
 #: Modules exempt from atomicity-hazard *reporting*: the kernel funnel
 #: runs under the map/object locks (checked by the guarded-by half),
@@ -326,162 +335,12 @@ _FAULT_ENTRY = ("vm_fault_batch", "resolve_task_fault")
 _ATOMICITY_EXEMPT = ("core.kernel", "core.fault", "core.pageout")
 
 
-def _ctx_params(func: ast.FunctionDef) -> set[str]:
-    """Parameter names through which *func* receives a ThreadContext."""
-    names: set[str] = set()
-    for arg in (list(func.args.posonlyargs) + list(func.args.args)
-                + list(func.args.kwonlyargs)):
-        annotation = arg.annotation
-        annotated = (isinstance(annotation, ast.Name)
-                     and annotation.id == "ThreadContext") \
-            or (isinstance(annotation, ast.Attribute)
-                and annotation.attr == "ThreadContext") \
-            or (isinstance(annotation, ast.Constant)
-                and annotation.value == "ThreadContext")
-        if arg.arg == "ctx" or annotated:
-            names.add(arg.arg)
-    return names
-
-
-@dataclass
-class _FunctionInfo:
-    """One function in the may-yield call graph."""
-
-    qualname: str            # "name" or "Class.name"
-    node: ast.FunctionDef
-    ctx_params: set[str]
-    has_primitive: bool = False
-    callees: set[str] = field(default_factory=set)
-
-
-def _iter_functions(tree: ast.Module
-                    ) -> Iterable[tuple[str, ast.FunctionDef]]:
-    """Every function in the module — module-level, methods, and
-    nested (thread bodies are routinely nested in their workload) —
-    with a dotted qualname."""
-    stack: list[tuple[str, ast.AST]] = [("", tree)]
-    while stack:
-        prefix, node = stack.pop()
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qualname = f"{prefix}{child.name}"
-                if isinstance(child, ast.FunctionDef):
-                    yield qualname, child
-                stack.append((qualname + ".", child))
-            elif isinstance(child, ast.ClassDef):
-                stack.append((f"{prefix}{child.name}.", child))
-
-
-def _call_name(call: ast.Call) -> Optional[tuple[str, str]]:
-    """Classify a call: ("name", f) for ``f(...)``, ("self", m) for
-    ``self.m(...)``, ("attr:<recv>", m) for ``recv.m(...)``."""
+def _ctx_call(call: ast.Call, ctx_names: frozenset[str],
+              methods: tuple[str, ...]) -> bool:
+    """``<ctx>.<method>(...)`` through a ThreadContext parameter."""
     func = call.func
-    if isinstance(func, ast.Name):
-        return ("name", func.id)
-    if isinstance(func, ast.Attribute):
-        recv = func.value
-        if isinstance(recv, ast.Name) and recv.id == "self":
-            return ("self", func.attr)
-        if isinstance(recv, ast.Name):
-            return (f"attr:{recv.id}", func.attr)
-        return ("attr:?", func.attr)
-    return None
-
-
-def _is_preemption_call(call: ast.Call, ctx_names: set[str]) -> bool:
-    kind = _call_name(call)
-    if kind is None:
-        return False
-    tag, name = kind
-    if name in _FAULT_ENTRY:
-        return True
-    if name in _CTX_METHODS and tag.startswith("attr:"):
-        recv = tag[5:]
-        return recv in ctx_names
-    return False
-
-
-def _walk_shallow(root: ast.AST) -> Iterable[ast.AST]:
-    """``ast.walk`` without descending into nested function/class
-    definitions — their events belong to the nested scope."""
-    stack: list[ast.AST] = [root]
-    while stack:
-        node = stack.pop()
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef, ast.Lambda)):
-                continue
-            stack.append(child)
-            yield child
-
-
-def _build_call_graph(tree: ast.Module
-                      ) -> tuple[dict[str, _FunctionInfo], set[str]]:
-    """Collect every function, its preemption primitives, and the
-    intra-module call edges.  A plain ``f(...)`` or ``self.m(...)``
-    call resolves (conservatively) to every same-module function whose
-    terminal name matches.  Returns (infos, thread_bodies)."""
-    infos: dict[str, _FunctionInfo] = {}
-    by_name: dict[str, list[str]] = {}
-    for qualname, func in _iter_functions(tree):
-        infos[qualname] = _FunctionInfo(qualname, func, _ctx_params(func))
-        by_name.setdefault(func.name, []).append(qualname)
-    spawned_names = _spawned_names(tree)
-    thread_bodies = {
-        qualname for qualname, info in infos.items()
-        if info.ctx_params
-        or info.node.name in spawned_names
-    }
-    for qualname, info in infos.items():
-        is_thread_body = qualname in thread_bodies
-        for node in _walk_shallow(info.node):
-            if isinstance(node, (ast.Yield, ast.YieldFrom)):
-                # A bare generator helper's yields are iteration, not
-                # preemption; only thread bodies preempt at yield.
-                if is_thread_body:
-                    info.has_primitive = True
-            elif isinstance(node, ast.Call):
-                if _is_preemption_call(node, info.ctx_params):
-                    info.has_primitive = True
-                kind = _call_name(node)
-                if kind is None:
-                    continue
-                tag, name = kind
-                if tag in ("name", "self"):
-                    for candidate in by_name.get(name, ()):
-                        if candidate != qualname:
-                            info.callees.add(candidate)
-    return infos, thread_bodies
-
-
-def _spawned_names(tree: ast.Module) -> set[str]:
-    """Function names passed to ``<scheduler>.spawn(task, body)`` —
-    thread bodies even when their parameter is not named ``ctx``."""
-    spawned: set[str] = set()
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "spawn"):
-            for arg in list(node.args) + [kw.value for kw in node.keywords]:
-                if isinstance(arg, ast.Name):
-                    spawned.add(arg.id)
-    return spawned
-
-
-def _may_yield_set(infos: dict[str, _FunctionInfo]) -> set[str]:
-    """Fixpoint: a function may yield when it has a primitive or calls
-    (transitively, within the module) something that does."""
-    may_yield = {q for q, info in infos.items() if info.has_primitive}
-    changed = True
-    while changed:
-        changed = False
-        for qualname, info in infos.items():
-            if qualname in may_yield:
-                continue
-            if info.callees & may_yield:
-                may_yield.add(qualname)
-                changed = True
-    return may_yield
+    return isinstance(func, ast.Attribute) and func.attr in methods \
+        and isinstance(func.value, ast.Name) and func.value.id in ctx_names
 
 
 #: Attributes treated as shared kernel state by the atomicity scan:
@@ -495,23 +354,25 @@ _SHARED_STATE_ATTRS = frozenset({
 })
 
 
-def _linearize(func: ast.FunctionDef, ctx_names: set[str],
-               may_yield_names: set[str],
-               is_thread_body: bool) -> list[tuple]:
+def _linearize(func: ast.AST, info: FunctionInfo, ctx) -> list[tuple]:
     """Flatten *func* into source-ordered events for the hazard scan.
 
-    Event shapes: ``("read", attr, line)``, ``("write", attr, line)``,
-    ``("preempt", line)``, ``("ctx-read", local, line)``,
+    Event shapes (the line always last): ``("read", attr, line)``,
+    ``("write", attr, line)``, ``("preempt", line)``,
+    ``("ctx-read", local, line)``,
     ``("ctx-write", arg_names, line)``.  Control flow is linearized
     (all branches in order) — a deliberate over-approximation for a
-    lint.
+    lint.  A call preempts when it is a preemption primitive or a
+    callee it resolves to may yield.
     """
+    ctx_names = ctx_params(func)
+    thread_body = is_thread_body(func, info.spawned)
     events: list[tuple] = []
-    for node in _walk_shallow(func):
+    for node in walk_local(func):
         line = getattr(node, "lineno", 0)
         if isinstance(node, (ast.Yield, ast.YieldFrom)):
-            if is_thread_body:
-                events.append(("preempt", line, "yield"))
+            if thread_body:
+                events.append(("preempt", line))
         elif isinstance(node, ast.Attribute):
             if node.attr not in _SHARED_STATE_ATTRS:
                 continue
@@ -520,18 +381,11 @@ def _linearize(func: ast.FunctionDef, ctx_names: set[str],
             elif isinstance(node.ctx, (ast.Store, ast.Del)):
                 events.append(("write", node.attr, line))
         elif isinstance(node, ast.Call):
-            kind = _call_name(node)
-            if kind is None:
-                continue
-            tag, name = kind
-            preempts = _is_preemption_call(node, ctx_names)
-            if not preempts and tag in ("name", "self"):
-                preempts = name in may_yield_names
-            if preempts:
-                events.append(("preempt", line,
-                               f"call to {name}"))
-            if (tag.startswith("attr:") and tag[5:] in ctx_names
-                    and name in ("write", "rmw")):
+            if is_preemption_call(node, ctx_names) or any(
+                    summary.may_yield
+                    for _fid, summary in ctx.lookup(node, info)):
+                events.append(("preempt", line))
+            if _ctx_call(node, ctx_names, ("write", "rmw")):
                 # Collect names *anywhere* in the argument expressions:
                 # ``ctx.write(addr, bytes([v + 1]))`` writes a value
                 # derived from ``v`` just as surely as passing it bare.
@@ -545,28 +399,29 @@ def _linearize(func: ast.FunctionDef, ctx_names: set[str],
             # ``v = ctx.read(a, 1)`` — unwrap subscripting.
             while isinstance(value, ast.Subscript):
                 value = value.value
-            if (isinstance(value, ast.Call)):
-                kind = _call_name(value)
-                if (kind and kind[0].startswith("attr:")
-                        and kind[0][5:] in ctx_names
-                        and kind[1] in ("read", "rmw")):
-                    for target in node.targets:
-                        if isinstance(target, ast.Name):
-                            events.append(("ctx-read", target.id,
-                                           node.lineno))
+            if isinstance(value, ast.Call) \
+                    and _ctx_call(value, ctx_names, ("read", "rmw")):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        events.append(("ctx-read", target.id,
+                                       node.lineno))
     # Same-line ordering: argument reads happen before the call
     # preempts, a value assigned *from* a ctx read is fresh after its
     # own preemption point, and attribute stores land last.
     rank = {"read": 0, "ctx-write": 1, "preempt": 2, "ctx-read": 3,
             "write": 4}
-    events.sort(key=lambda e: (e[1] if e[0] == "preempt" else e[-1],
-                               rank[e[0]]))
+    events.sort(key=lambda e: (e[-1], rank[e[0]]))
     return events
 
 
 def _scan_function(module: str, qualname: str,
-                   events: list[tuple]) -> list[LintViolation]:
-    violations: list[LintViolation] = []
+                   events: list[tuple]) -> list[Finding]:
+    findings: list[Finding] = []
+
+    def report(line: int, rule: str, message: str) -> None:
+        findings.append(Finding(ATOMICITY_PASS, module, line, rule,
+                                qualname, message))
+
     read_at: dict[str, int] = {}
     stale: dict[str, tuple[int, int]] = {}
     local_read_at: dict[str, int] = {}
@@ -574,7 +429,7 @@ def _scan_function(module: str, qualname: str,
     for event in events:
         kind = event[0]
         if kind == "preempt":
-            _, line, why = event
+            _, line = event
             for attr, rline in read_at.items():
                 stale.setdefault(attr, (rline, line))
             read_at.clear()
@@ -588,12 +443,11 @@ def _scan_function(module: str, qualname: str,
             _, attr, line = event
             if attr in stale:
                 rline, pline = stale[attr]
-                violations.append(LintViolation(
-                    module, line, "atomicity-hazard",
-                    f"{qualname} reads shared '.{attr}' at line "
-                    f"{rline}, may yield at line {pline}, then writes "
-                    f"'.{attr}' at line {line} — the read can be stale "
-                    f"by the time the write lands"))
+                report(line, "atomicity-hazard",
+                       f"{qualname} reads shared '.{attr}' at line "
+                       f"{rline}, may yield at line {pline}, then writes "
+                       f"'.{attr}' at line {line} — the read can be stale "
+                       f"by the time the write lands")
             stale.pop(attr, None)
             read_at.pop(attr, None)
         elif kind == "ctx-read":
@@ -605,62 +459,61 @@ def _scan_function(module: str, qualname: str,
             for name in args:
                 if name in stale_locals:
                     rline, pline = stale_locals[name]
-                    violations.append(LintViolation(
-                        module, line, "stale-read-across-yield",
-                        f"{qualname} writes value {name!r} read from "
-                        f"memory at line {rline} after a preemption "
-                        f"point at line {pline} — a lost update under "
-                        f"any schedule that interleaves there"))
-    return violations
+                    report(line, "stale-read-across-yield",
+                           f"{qualname} writes value {name!r} read from "
+                           f"memory at line {rline} after a preemption "
+                           f"point at line {pline} — a lost update under "
+                           f"any schedule that interleaves there")
+    return findings
+
+
+def check_atomicity(module: str, tree: ast.AST,
+                    ctx=None) -> list[Finding]:
+    """The may-yield atomicity lint over one parsed module: scan every
+    function whose summary may yield.  Without *ctx* (a
+    :class:`repro.analysis.typestate.AnalysisContext`) a module-local
+    one is built."""
+    if ctx is None:
+        ctx = build_context([(module, tree, None)])
+    findings: list[Finding] = []
+    for qualname, func in iter_functions(tree):
+        info = ctx.caller_info(module, qualname)
+        if info is None or not ctx.summaries[info.fid].may_yield:
+            continue
+        findings += _scan_function(module, qualname,
+                                   _linearize(func, info, ctx))
+    return findings
+
+
+def atomicity_in_scope(module: str, package: str = "repro") -> bool:
+    """Atomicity applies to the whole package but the kernel funnel."""
+    inner = _strip(module, package)
+    return inner is not None and not any(
+        _within(inner, exempt) for exempt in _ATOMICITY_EXEMPT)
 
 
 def lint_atomicity_source(source: str, module: str = "<snippet>"
                           ) -> list[LintViolation]:
-    """May-yield atomicity lint for one module's source text."""
+    """May-yield atomicity lint for one module's source text, with a
+    module-local call graph."""
     try:
         tree = ast.parse(source)
     except SyntaxError as exc:
         return [LintViolation(module, exc.lineno or 0, "syntax-error",
                               "module failed to parse")]
-    infos, thread_bodies = _build_call_graph(tree)
-    may_yield = _may_yield_set(infos)
-    may_yield_names = {infos[q].node.name for q in may_yield}
-    violations: list[LintViolation] = []
-    for qualname, info in infos.items():
-        if qualname not in may_yield:
-            continue
-        events = _linearize(info.node, info.ctx_params, may_yield_names,
-                            qualname in thread_bodies)
-        violations.extend(_scan_function(module, qualname, events))
+    violations = [LintViolation(f.module, f.lineno, f.rule, f.message)
+                  for f in check_atomicity(module, tree)]
     violations.sort(key=lambda v: (v.module, v.lineno, v.rule))
     return violations
 
 
-def lint_atomicity(root: Path, package: str = "repro"
-                   ) -> list[LintViolation]:
-    """May-yield atomicity lint over a package tree."""
-    violations: list[LintViolation] = []
-    for path in sorted(root.rglob("*.py")):
-        module = _module_name(root, path, package)
-        mod_rel = module[len(package) + 1:] if module != package else ""
-        if any(_within(mod_rel, exempt) for exempt in _ATOMICITY_EXEMPT):
-            continue
-        violations.extend(lint_atomicity_source(
-            path.read_text(encoding="utf-8"), module))
-    return violations
-
-
-def lint_concurrency(root: Path, package: str = "repro"
-                     ) -> list[LintViolation]:
-    """The full static concurrency lint: guarded-by + atomicity."""
-    violations = lint_guarded_by(root, package)
-    violations.extend(lint_atomicity(root, package))
-    violations.sort(key=lambda v: (v.module, v.lineno, v.rule))
-    return violations
+#: The tree-wide static concurrency lint: the guarded-by contract (the
+#: atomicity half is the ``atomicity`` flow pass).
+lint_concurrency = lint_guarded_by
 
 
 #: Part of the lint cache key: bump on any rule/behavior change.
-LINT_VERSION = "1"
+LINT_VERSION = "2"
 
 
 def lint_source_concurrency() -> list[LintViolation]:

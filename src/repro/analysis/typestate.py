@@ -1,4 +1,4 @@
-"""Interprocedural typestate pass: declarative VM protocol specs.
+"""Interprocedural typestate engine: declarative VM protocol specs.
 
 The paper's machine-independent layer works because every component
 honors unwritten protocols: a page cycles free→active→inactive→
@@ -6,23 +6,29 @@ laundering→free and is never touched once freed; a ``vm_object``
 reference obtained from the manager is dead after ``deallocate``; a
 map entry unlinked from its map must not re-enter map structure
 operations; and a pmap mutation that skipped its TLB shootdown
-(``remove(..., shoot=False)``) owes one before the next yield.  The
-PR 6 flow passes cannot see a violation that spans a call — a helper
-that frees a page its caller still touches looks clean to both
-functions in isolation.
+(``remove(..., shoot=False)``) owes one before the next yield.  A
+purely intraprocedural pass cannot see a violation that spans a call
+— a helper that frees a page its caller still touches looks clean to
+both functions in isolation.
 
 This pass closes that hole.  Protocols are declarative
-:class:`ProtocolSpec` tables (states, transitions, violations); the
-checker runs each function's CFG through the shared forward solver
-(:func:`repro.analysis.flow.solve_forward`), applying protocol
-*operations* classified from call sites.  Calls resolved by the call
-graph apply the callee's :class:`~repro.analysis.callgraph.Summary` —
-the parameter states the callee definitely establishes by exit —
-computed bottom-up over SCCs by
-:func:`~repro.analysis.callgraph.compute_summaries`, so a protocol
+:class:`ProtocolSpec` tables (states, transitions, violations, leaks);
+a :class:`Discipline` groups the specs checked together with the
+classifiers that map call sites and assignments to protocol
+*operations*.  One engine runs each function's CFG through the shared
+forward solver (:func:`repro.analysis.flow.solve_forward`).  Calls
+resolved by the call graph apply the callee's
+:class:`~repro.analysis.callgraph.Summary` — the parameter states the
+callee definitely establishes by exit — computed bottom-up over SCCs
+by :func:`~repro.analysis.callgraph.compute_summaries`, so a protocol
 violation split across any number of calls is still caught.  Joining
-paths that disagree yields an unknown state that is deliberately not
-reported (same noise discipline as the lifecycle pass).
+paths that disagree yields an unknown state that is deliberately
+never reported.
+
+Two disciplines run on the engine: :data:`TYPESTATE`, this pass (the
+rules below, and the only one that computes summaries), and
+:data:`repro.analysis.lifecycle.LIFECYCLE`, the acquire/release
+ownership tables (leaks and double releases).
 
 Shipped rules (each has a known-bad fixture in
 ``tests/data/flow_fixtures/``):
@@ -49,10 +55,12 @@ from typing import Callable, Iterable, Optional
 
 from repro.analysis.callgraph import (
     CallGraph, EMPTY_SUMMARY, FunctionInfo, Summary, SummaryLookup,
-    _attr_chain, build_callgraph, compute_summaries,
+    attr_chain, build_callgraph, compute_summaries, ctx_params,
+    is_preemption_call, is_thread_body,
 )
-from repro.analysis.cfg import EXC_EXIT, EXIT, CFGNode, build_cfg, \
-    iter_functions
+from repro.analysis.cfg import CFG, EXC_EXIT, EXIT, CFGNode, build_cfg, \
+    iter_functions, walk_local
+from repro.analysis.errorpaths import catches_transient, transient_escapes
 from repro.analysis.flow import Finding, iter_source_modules, solve_forward
 from repro.analysis.layering import _strip
 
@@ -60,7 +68,7 @@ PASS_NAME = "typestate"
 
 #: Bumped when the pass logic changes: part of every cache key, so a
 #: new rule invalidates stale cached results.
-PASS_VERSION = "1"
+PASS_VERSION = "2"
 
 #: Top-level repro subpackages outside the simulated kernel: protocol
 #: ops never originate there, and analysis tooling talking *about*
@@ -84,10 +92,16 @@ class ProtocolSpec:
     translates a callee's must-exit state back into the op applied at
     the call site, so interprocedural effects run through the same
     violation tables as direct calls.
+
+    Ownership protocols are ``sticky``: a fact survives a join with a
+    path that never tracked the variable (a resource acquired on some
+    path is still owed its release).  ``leak_on_raise`` /
+    ``leak_on_return`` report a variable still in their state on an
+    exception / normal exit edge, at the line that put it there.
     """
 
     name: str
-    kind: str                                  # lifecycle resource kind
+    kind: str                                  # resource kind in messages
     track_on: dict = field(default_factory=dict)
     transitions: dict = field(default_factory=dict)
     violations: dict = field(default_factory=dict)
@@ -96,6 +110,9 @@ class ProtocolSpec:
     use_writes_only: bool = False
     op_for_state: dict = field(default_factory=dict)
     yield_hazard: tuple = ()                   # (state, rule, message)
+    sticky: bool = False
+    leak_on_raise: tuple = ()                  # (state, rule, message)
+    leak_on_return: tuple = ()                 # (state, rule, message)
 
 
 _UAF = ("page-use-after-free",
@@ -194,6 +211,8 @@ PMAP_PROTOCOL = ProtocolSpec(
         ("pmap-mutate-unshot", "clean"): "dirty",
         ("pmap-shoot", "dirty"): "clean",
         ("pmap-shoot", "clean"): "clean",
+        # ``system.update()`` names no pmap: it cleans every dirty one.
+        ("pmap-shoot-all", "dirty"): "clean",
     },
     op_for_state={"dirty": "pmap-mutate-unshot", "clean": "pmap-shoot"},
     yield_hazard=(
@@ -203,28 +222,21 @@ PMAP_PROTOCOL = ProtocolSpec(
         "shootdown; another processor can observe the stale TLB entry"),
 )
 
-PROTOCOLS: dict[str, ProtocolSpec] = {
-    spec.name: spec for spec in (
-        PAGE_PROTOCOL, OBJECT_PROTOCOL, ENTRY_PROTOCOL, PMAP_PROTOCOL)
-}
-
-
-def _op_proto_table() -> dict[str, ProtocolSpec]:
-    table: dict[str, ProtocolSpec] = {}
-    for spec in PROTOCOLS.values():
-        for op in spec.track_on:
-            table[op] = spec
-        for op, _state in list(spec.transitions) + list(spec.violations):
-            table[op] = spec
-    table["pmap-shoot-all"] = PMAP_PROTOCOL
-    return table
-
-
-#: op name -> owning protocol spec
-_OP_PROTO = _op_proto_table()
-
 
 # -- op classification ------------------------------------------------------
+
+@dataclass(frozen=True)
+class Op:
+    """A protocol operation on one local variable (``var == ""``: on
+    every variable its protocol tracks).  An ``on_return`` op takes
+    effect only once its call has returned normally (an acquisition:
+    if the call raised, nothing was acquired)."""
+
+    op: str
+    var: str
+    line: int
+    on_return: bool = False
+
 
 #: ``x.resident.<op>(page)`` — the resident page table's queue ops.
 _PAGE_OPS = {"free": "page-free", "activate": "page-activate",
@@ -232,21 +244,10 @@ _PAGE_OPS = {"free": "page-free", "activate": "page-activate",
              "unwire": "page-unwire", "insert": "page-touch",
              "remove": "page-touch", "rename": "page-touch"}
 
-#: Entering the fault handler can block on a pager round-trip; every
-#: ThreadContext memory access is a preemption point (same seeds as the
-#: race.py atomicity lint, now propagated across module boundaries).
-_FAULT_ENTRY = ("vm_fault_batch", "resolve_task_fault")
-_CTX_METHODS = ("read", "write", "rmw")
-
-_ESCAPING_METHODS = {"append", "add", "insert", "setdefault", "put",
-                     "push", "register", "extend", "appendleft"}
-
-
-@dataclass(frozen=True)
-class _Op:
-    op: str
-    var: str
-    line: int
+#: Method names that store their argument somewhere (ownership moves).
+ESCAPING_METHODS = frozenset({
+    "append", "add", "insert", "setdefault", "put", "push", "register",
+    "extend", "appendleft"})
 
 
 def _const_false(call: ast.Call, kwarg: str) -> bool:
@@ -257,37 +258,38 @@ def _const_false(call: ast.Call, kwarg: str) -> bool:
     return False
 
 
-def classify_call(call: ast.Call, cls: Optional[str]) -> list[_Op]:
+def classify_call(call: ast.Call, cls: Optional[str],
+                  standalone: bool = False) -> list[Op]:
     """Protocol ops a call applies directly to named local variables."""
-    chain = _attr_chain(call.func)
+    chain = attr_chain(call.func)
     if len(chain) < 2:
         return []
     tail, recv = chain[-1], chain[-2]
     line = call.lineno
     args = call.args
     arg0 = args[0].id if args and isinstance(args[0], ast.Name) else None
-    ops: list[_Op] = []
+    ops: list[Op] = []
     if recv == "resident" and tail in _PAGE_OPS and arg0:
-        ops.append(_Op(_PAGE_OPS[tail], arg0, line))
+        ops.append(Op(_PAGE_OPS[tail], arg0, line))
     elif tail == "deallocate" and len(args) == 1 and arg0 \
             and (recv == "objects"
                  or (recv == "self" and cls == "VMObjectManager")):
-        ops.append(_Op("obj-deallocate", arg0, line))
+        ops.append(Op("obj-deallocate", arg0, line))
     elif tail == "reference" and not args and len(chain) == 2 \
             and chain[0] != "self":
-        ops.append(_Op("obj-reference", chain[0], line))
+        ops.append(Op("obj-reference", chain[0], line))
     elif tail == "_unlink" and arg0:
-        ops.append(_Op("entry-unlink", arg0, line))
+        ops.append(Op("entry-unlink", arg0, line))
     elif tail in ("_link", "clip_start", "clip_end", "copy_entry_cow") \
             and arg0:
-        ops.append(_Op("entry-map-op", arg0, line))
+        ops.append(Op("entry-map-op", arg0, line))
     elif tail == "remove" and len(chain) == 2 \
             and _const_false(call, "shoot"):
-        ops.append(_Op("pmap-mutate-unshot", chain[0], line))
+        ops.append(Op("pmap-mutate-unshot", chain[0], line))
     elif tail == "shootdown" and arg0:
-        ops.append(_Op("pmap-shoot", arg0, line))
+        ops.append(Op("pmap-shoot", arg0, line))
     elif tail == "update" and recv == "system" and not args:
-        ops.append(_Op("pmap-shoot-all", "", line))
+        ops.append(Op("pmap-shoot-all", "", line))
     return ops
 
 
@@ -296,7 +298,7 @@ def classify_acquire(value: ast.AST,
     """``(protocol, state)`` freshly acquired by an assignment RHS."""
     if not isinstance(value, ast.Call):
         return None
-    chain = _attr_chain(value.func)
+    chain = attr_chain(value.func)
     if len(chain) < 2:
         return None
     tail, recv = chain[-1], chain[-2]
@@ -307,45 +309,6 @@ def classify_acquire(value: ast.AST,
                  or (recv == "self" and cls == "VMObjectManager")):
         return ("vmobject", "live")
     return None
-
-
-def _ctx_param_names(func: ast.AST) -> frozenset[str]:
-    names = set()
-    for arg in (list(func.args.posonlyargs) + list(func.args.args)
-                + list(func.args.kwonlyargs)):
-        ann = arg.annotation
-        if arg.arg == "ctx" \
-                or (isinstance(ann, ast.Name)
-                    and ann.id == "ThreadContext") \
-                or (isinstance(ann, ast.Attribute)
-                    and ann.attr == "ThreadContext") \
-                or (isinstance(ann, ast.Constant)
-                    and ann.value == "ThreadContext"):
-            names.add(arg.arg)
-    return frozenset(names)
-
-
-def _is_yield_primitive(call: ast.Call,
-                        ctx_params: frozenset[str]) -> bool:
-    chain = _attr_chain(call.func)
-    if not chain:
-        return False
-    if chain[-1] in _FAULT_ENTRY:
-        return True
-    return (len(chain) == 2 and chain[0] in ctx_params
-            and chain[1] in _CTX_METHODS)
-
-
-def _walk_no_lambda(node: ast.AST):
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        yield cur
-        for child in ast.iter_child_nodes(cur):
-            if isinstance(child, (ast.Lambda, ast.FunctionDef,
-                                  ast.AsyncFunctionDef)):
-                continue
-            stack.append(child)
 
 
 # -- dataflow facts ----------------------------------------------------------
@@ -360,31 +323,85 @@ class _Fact:
 
 _State = dict    # var -> _Fact; copied on write
 
+_YIELDS = (ast.Yield, ast.YieldFrom, ast.Await)
 
-def _join(a: _State, b: _State) -> _State:
-    if a == b:
-        return a
-    out: _State = dict(a)
-    # Untracked on one path means the state is unknown there, not
-    # absent: a page freed on one branch only must join to unknown
-    # (never reported), not stay "free".
-    for var, mine in a.items():
-        if var not in b and mine.state != TOP:
-            out[var] = _Fact(mine.proto, TOP, mine.line)
-    for var, fact in b.items():
-        mine = out.get(var)
-        if mine is None:
-            out[var] = _Fact(fact.proto, TOP, fact.line) \
-                if fact.state != TOP else fact
-        elif mine != fact:
-            if mine.proto == fact.proto and mine.state == fact.state:
-                out[var] = _Fact(mine.proto, mine.state,
-                                 min(mine.line, fact.line),
-                                 mine.acquired and fact.acquired)
-            else:
-                out[var] = _Fact(mine.proto, TOP,
-                                 min(mine.line, fact.line))
-    return out
+
+def _loaded_names(expr: ast.AST) -> list[str]:
+    return [n.id for n in walk_local(expr)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)]
+
+
+class Discipline:
+    """Protocols checked together in one engine run, with the
+    classifiers mapping a call site (*standalone*: the whole
+    statement) to its ops and an assignment RHS to the ``(protocol,
+    state)`` it acquires, and *summary_ops* mapping a callee's
+    must-exit state (``"page:free"``) to its op at the call site.  A
+    discipline that *borrows* keeps a fact a callee may (not must)
+    change instead of degrading it.  Specs that know the ``escape`` op
+    also see hand-offs: a variable returned, yielded or aliased."""
+
+    def __init__(self, pass_name: str, specs: Iterable[ProtocolSpec],
+                 classify_call: Callable[[ast.Call, Optional[str], bool],
+                                         list[Op]],
+                 classify_acquire: Callable[[ast.AST, Optional[str]],
+                                            Optional[tuple[str, str]]],
+                 summary_ops: Optional[dict[str, str]] = None,
+                 borrows: bool = False) -> None:
+        specs = tuple(specs)
+        self.pass_name = pass_name
+        self.specs = {spec.name: spec for spec in specs}
+        self.classify_call = classify_call
+        self.classify_acquire = classify_acquire
+        self.summary_ops = summary_ops if summary_ops is not None else {
+            f"{spec.name}:{state}": op for spec in specs
+            for state, op in spec.op_for_state.items()}
+        self.borrows = borrows
+        #: op -> {protocol name: spec} of the specs whose tables
+        #: mention it, in spec order
+        self.op_specs: dict[str, dict[str, ProtocolSpec]] = {}
+        for spec in specs:
+            ops = set(spec.track_on) | {op for op, _ in spec.transitions} \
+                | {op for op, _ in spec.violations}
+            for op in ops:
+                self.op_specs.setdefault(op, {})[spec.name] = spec
+        self.sticky = frozenset(s.name for s in specs if s.sticky)
+        self.tracks_escape = "escape" in self.op_specs
+
+    def join(self, a: _State, b: _State) -> _State:
+        if a == b:
+            return a
+        out: _State = dict(a)
+        sticky = self.sticky
+        # Untracked on one path means the state is unknown there, not
+        # absent: a page freed on one branch only must join to unknown
+        # (never reported), not stay "free".  Sticky facts survive.
+        for var, mine in a.items():
+            if var not in b and mine.state != TOP \
+                    and mine.proto not in sticky:
+                out[var] = _Fact(mine.proto, TOP, mine.line)
+        for var, fact in b.items():
+            mine = out.get(var)
+            if mine is None:
+                out[var] = fact if fact.state == TOP \
+                    or fact.proto in sticky \
+                    else _Fact(fact.proto, TOP, fact.line)
+            elif mine != fact:
+                if mine.proto == fact.proto and mine.state == fact.state:
+                    out[var] = _Fact(mine.proto, mine.state,
+                                     min(mine.line, fact.line),
+                                     mine.acquired and fact.acquired)
+                else:
+                    out[var] = _Fact(mine.proto, TOP,
+                                     min(mine.line, fact.line))
+        return out
+
+
+#: This pass: the VM protocols above, with callee summaries.
+TYPESTATE = Discipline(
+    PASS_NAME, (PAGE_PROTOCOL, OBJECT_PROTOCOL, ENTRY_PROTOCOL,
+                PMAP_PROTOCOL),
+    classify_call, classify_acquire)
 
 
 # -- the engine: one function, summary mode or check mode -------------------
@@ -395,58 +412,69 @@ class _FunctionEngine:
     In *check mode* (``run_check``) it emits findings — but only
     during a final sweep over fixpoint states, never from the
     intermediate states the solver passes through.  In *summary mode*
-    (``run_summary``) it harvests parameter exit states, escapes, and
-    may-yield for the bottom-up fixpoint.
+    (``run_summary``, :data:`TYPESTATE` only) it harvests parameter
+    exit states, escapes, and may-yield for the bottom-up fixpoint.
     """
 
     def __init__(self, module: str, qualname: str, func: ast.AST,
-                 info: Optional[FunctionInfo], graph: CallGraph,
-                 lookup: SummaryLookup) -> None:
+                 info: Optional[FunctionInfo], graph: Optional[CallGraph],
+                 lookup: Optional[SummaryLookup],
+                 discipline: Discipline = TYPESTATE) -> None:
         self.module = module
         self.qualname = qualname
         self.func = func
         self.info = info
         self.graph = graph
         self.lookup = lookup
+        self.d = discipline
         self.findings: dict[tuple, Finding] = {}
         self.escaped: set[str] = set()
         self.saw_yield = False
         self._reporting = False
-        self._ctx_params = _ctx_param_names(func)
+        self._ctx_names = ctx_params(func)
+        self._thread_body = is_thread_body(
+            func, info.spawned if info is not None else frozenset())
         self._cls = info.cls if info is not None else None
 
     # -- reporting ----------------------------------------------------------
 
-    def _report(self, rule: str, template: str, var: str,
-                line: int, origin: int) -> None:
+    def _report(self, rule: str, template: str, var: str, at: int,
+                **fmt) -> None:
         if not self._reporting:
             return
-        key = (rule, line, var)
+        key = (rule, at, var)
         self.findings.setdefault(key, Finding(
-            PASS_NAME, self.module, line, rule, self.qualname,
-            template.format(var=var, line=origin)))
+            self.d.pass_name, self.module, at, rule, self.qualname,
+            template.format(var=var, **fmt)))
 
     # -- op application ------------------------------------------------------
 
-    def _apply_op(self, state: _State, op: _Op) -> _State:
-        spec = _OP_PROTO.get(op.op)
-        if spec is None:
+    def _apply_op(self, state: _State, op: Op) -> _State:
+        specs = self.d.op_specs.get(op.op)
+        if specs is None:
             return state
-        if op.op == "pmap-shoot-all":
-            out = dict(state)
+        if not op.var:
+            out = state
             for var, fact in state.items():
-                if fact.proto == "pmap" and fact.state == "dirty":
-                    out[var] = _Fact("pmap", "clean", op.line)
+                spec = specs.get(fact.proto)
+                nxt = spec.transitions.get((op.op, fact.state)) \
+                    if spec is not None else None
+                if nxt is not None:
+                    if out is state:
+                        out = dict(state)
+                    out[var] = _Fact(spec.name, nxt, op.line)
             return out
         fact = state.get(op.var)
         if fact is None:
-            target = spec.track_on.get(op.op)
-            if target is not None:
-                out = dict(state)
-                out[op.var] = _Fact(spec.name, target, op.line)
-                return out
+            for spec in specs.values():
+                target = spec.track_on.get(op.op)
+                if target is not None:
+                    out = dict(state)
+                    out[op.var] = _Fact(spec.name, target, op.line)
+                    return out
             return state
-        if fact.proto != spec.name or fact.state == TOP:
+        spec = specs.get(fact.proto)
+        if spec is None or fact.state == TOP:
             # Another protocol claims this name, or paths disagree:
             # degrade quietly rather than invent a violation.
             out = dict(state)
@@ -455,7 +483,8 @@ class _FunctionEngine:
         crime = spec.violations.get((op.op, fact.state))
         if crime is not None:
             rule, template = crime
-            self._report(rule, template, op.var, op.line, fact.line)
+            self._report(rule, template, op.var, op.line,
+                         line=fact.line, kind=spec.kind)
             return state
         nxt = spec.transitions.get((op.op, fact.state))
         out = dict(state)
@@ -468,9 +497,9 @@ class _FunctionEngine:
     # -- summary application at call sites -----------------------------------
 
     def _summary_ops(self, call: ast.Call,
-                     direct_vars: set[str]) -> tuple[list[_Op],
+                     direct_vars: set[str]) -> tuple[list[Op],
                                                      list[str], bool]:
-        """(must-ops to apply, vars to degrade to unknown, callee may
+        """(ops to apply, vars to degrade to unknown, callee may
         yield).  A must-op only survives when *every* candidate callee
         binds the variable and agrees on the exit state."""
         if self.info is None:
@@ -478,11 +507,12 @@ class _FunctionEngine:
         pairs = self.lookup(call, self.info)
         if not pairs:
             return [], [], False
-        chain = _attr_chain(call.func)
+        chain = attr_chain(call.func)
         receiver_var = chain[0] if len(chain) == 2 else None
         per_var_must: dict[str, set[str]] = {}
         per_var_seen: dict[str, int] = {}
         degrade: set[str] = set()
+        escaped: list[str] = []
         may_yield = False
         for fid, summary in pairs:
             may_yield |= summary.may_yield
@@ -498,26 +528,28 @@ class _FunctionEngine:
                     degrade.add(var)
                 if param in summary.escapes:
                     self.escaped.add(var)
+                    escaped.append(var)
                     degrade.add(var)
-        ops: list[_Op] = []
+        ops = [Op("escape", var, call.lineno) for var in escaped]
         for var, states in sorted(per_var_must.items()):
             if len(states) == 1 and per_var_seen[var] == len(pairs):
-                proto, _, st = next(iter(states)).partition(":")
-                spec = PROTOCOLS.get(proto)
-                op = spec.op_for_state.get(st) if spec else None
+                op = self.d.summary_ops.get(next(iter(states)))
                 if op is not None:
-                    ops.append(_Op(op, var, call.lineno))
+                    ops.append(Op(op, var, call.lineno))
                     degrade.discard(var)
                     continue
             degrade.add(var)
+        if self.d.borrows:
+            degrade.clear()
         return ops, sorted(degrade), may_yield
 
     # -- per-statement transfer ----------------------------------------------
 
     def _transfer(self, node: CFGNode,
                   state: _State) -> tuple[_State, _State]:
-        calls = [c for expr in node.exprs for c in _walk_no_lambda(expr)
+        calls = [c for expr in node.exprs for c in walk_local(expr)
                  if isinstance(c, ast.Call)]
+        stmt = node.stmt
 
         # Dead-state uses are judged on the state *entering* the
         # statement — the op that kills a var happens during it.
@@ -525,14 +557,18 @@ class _FunctionEngine:
 
         after = dict(state)
         # A bare generator helper's yields are iteration, not
-        # preemption; only thread bodies (ctx-taking functions)
-        # preempt at yield — same rule as the race.py atomicity lint.
-        stmt_yields = node.has_yield and bool(self._ctx_params)
+        # preemption; only thread bodies preempt at yield.
+        stmt_yields = node.has_yield and self._thread_body
+        on_return: list[Op] = []
 
         for call in calls:
-            direct = classify_call(call, self._cls)
+            standalone = isinstance(stmt, ast.Expr) and call is stmt.value
+            direct = self.d.classify_call(call, self._cls, standalone)
             for op in direct:
-                after = self._apply_op(after, op)
+                if op.on_return:
+                    on_return.append(op)
+                else:
+                    after = self._apply_op(after, op)
             s_ops, s_degrade, callee_yields = self._summary_ops(
                 call, {op.var for op in direct})
             for op in s_ops:
@@ -541,9 +577,11 @@ class _FunctionEngine:
                 fact = after.get(var)
                 if fact is not None and fact.state != TOP:
                     after[var] = _Fact(fact.proto, TOP, fact.line)
-            if callee_yields or _is_yield_primitive(call,
-                                                    self._ctx_params):
+            if callee_yields or is_preemption_call(call, self._ctx_names):
                 stmt_yields = True
+
+        for var in self._escapes(stmt, calls):
+            after = self._apply_op(after, Op("escape", var, node.lineno))
 
         if stmt_yields:
             self.saw_yield = True
@@ -552,11 +590,42 @@ class _FunctionEngine:
         # Acquisitions bind on the normal out-state only — if the RHS
         # raised, nothing was acquired.
         exc_out = after
-        norm_out = self._apply_stmt(node, after, calls)
+        norm_out = self._apply_stmt(node, after)
+        for op in on_return:
+            norm_out = self._apply_op(norm_out, op)
         return norm_out, exc_out
 
-    def _apply_stmt(self, node: CFGNode, state: _State,
-                    calls: list[ast.Call]) -> _State:
+    def _escapes(self, stmt: Optional[ast.stmt],
+                 calls: list[ast.Call]) -> list[str]:
+        """Names stored into a structure or passed to a constructor or
+        container method (the summaries' escapes), plus the hand-offs
+        when the discipline tracks them."""
+        names: list[str] = []
+        for call in calls:
+            chain = attr_chain(call.func)
+            if chain and ((len(chain) == 1 and chain[0][:1].isupper())
+                          or chain[-1] in ESCAPING_METHODS):
+                names += [arg.id for arg in list(call.args)
+                          + [kw.value for kw in call.keywords]
+                          if isinstance(arg, ast.Name)]
+        single = isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+        if single and isinstance(stmt.targets[0],
+                                 (ast.Attribute, ast.Subscript)):
+            names += _loaded_names(stmt.value)
+        self.escaped.update(names)
+        if not self.d.tracks_escape:
+            return []
+        if isinstance(stmt, ast.Return) and stmt.value is not None:
+            names += _loaded_names(stmt.value)
+        elif isinstance(stmt, ast.Expr) and isinstance(stmt.value,
+                                                       _YIELDS):
+            names += _loaded_names(stmt.value)
+        elif single and isinstance(stmt.targets[0], ast.Name) \
+                and isinstance(stmt.value, ast.Name):
+            names.append(stmt.value.id)          # aliasing hands it off
+        return names
+
+    def _apply_stmt(self, node: CFGNode, state: _State) -> _State:
         stmt = node.stmt
         out = state
         if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
@@ -570,11 +639,6 @@ class _FunctionEngine:
                                            acquired=True)
                 else:
                     out.pop(target.id, None)
-            elif isinstance(target, (ast.Attribute, ast.Subscript)):
-                for n in _walk_no_lambda(stmt.value):
-                    if isinstance(n, ast.Name) \
-                            and isinstance(n.ctx, ast.Load):
-                        self.escaped.add(n.id)
             elif isinstance(target, (ast.Tuple, ast.List)):
                 out = dict(state)
                 for elt in target.elts:
@@ -586,7 +650,7 @@ class _FunctionEngine:
             out.pop(stmt.target.id, None)
         elif isinstance(stmt, (ast.For, ast.AsyncFor)):
             out = dict(state)
-            for n in _walk_no_lambda(stmt.target):
+            for n in walk_local(stmt.target):
                 if isinstance(n, ast.Name):
                     out.pop(n.id, None)
         elif isinstance(stmt, ast.Delete):
@@ -594,21 +658,10 @@ class _FunctionEngine:
             for tgt in stmt.targets:
                 if isinstance(tgt, ast.Name):
                     out.pop(tgt.id, None)
-        # Constructor / container-method arguments escape.
-        for call in calls:
-            chain = _attr_chain(call.func)
-            if not chain:
-                continue
-            if (len(chain) == 1 and chain[0][:1].isupper()) \
-                    or chain[-1] in _ESCAPING_METHODS:
-                for arg in list(call.args) + \
-                        [kw.value for kw in call.keywords]:
-                    if isinstance(arg, ast.Name):
-                        self.escaped.add(arg.id)
         return out
 
     def _acquire_of(self, value: ast.AST) -> Optional[tuple[str, str]]:
-        acq = classify_acquire(value, self._cls)
+        acq = self.d.classify_acquire(value, self._cls)
         if acq is not None:
             return acq
         if isinstance(value, ast.Call) and self.info is not None:
@@ -619,7 +672,7 @@ class _FunctionEngine:
                     kinds &= set(summary.returns_acquired)
                 if len(kinds) == 1:
                     proto, _, st = next(iter(kinds)).partition(":")
-                    if proto in PROTOCOLS:
+                    if proto in self.d.specs:
                         return (proto, st)
         return None
 
@@ -628,20 +681,21 @@ class _FunctionEngine:
     def _check_uses(self, node: CFGNode, state: _State) -> None:
         if not self._reporting:
             return
+        specs = self.d.specs
         dead = {var: fact for var, fact in state.items()
                 if fact.state != TOP
-                and fact.state in PROTOCOLS[fact.proto].dead_states}
+                and fact.state in specs[fact.proto].dead_states}
         if not dead:
             return
         for expr in node.exprs:
-            for sub in _walk_no_lambda(expr):
+            for sub in walk_local(expr):
                 if not isinstance(sub, ast.Attribute) \
                         or not isinstance(sub.value, ast.Name):
                     continue
                 fact = dead.get(sub.value.id)
                 if fact is None:
                     continue
-                spec = PROTOCOLS[fact.proto]
+                spec = specs[fact.proto]
                 if not spec.use_rule:
                     continue
                 if spec.use_writes_only \
@@ -649,45 +703,69 @@ class _FunctionEngine:
                     continue
                 rule, template = spec.use_rule
                 self._report(rule, template, sub.value.id,
-                             node.lineno, fact.line)
+                             node.lineno, line=fact.line)
 
     def _check_yield_hazard(self, node: CFGNode, state: _State) -> None:
         if not self._reporting:
             return
         for var, fact in sorted(state.items()):
-            spec = PROTOCOLS[fact.proto]
+            spec = self.d.specs[fact.proto]
             if not spec.yield_hazard or fact.state == TOP:
                 continue
             hazard_state, rule, template = spec.yield_hazard
             if fact.state == hazard_state:
                 self._report(rule, template, var, node.lineno,
-                             fact.line)
+                             line=fact.line)
+
+    def _check_leaks(self, state: _State, via: int, raised: bool) -> None:
+        """A tracked variable still in a leaking state on an exit edge.
+        Judged per edge, not on the joined exit state: joining a
+        leaking path with a clean one would yield unknown and hide the
+        leak.  One finding per leaked acquisition, at its line."""
+        for var, fact in sorted(state.items()):
+            spec = self.d.specs[fact.proto]
+            leak = spec.leak_on_raise if raised else spec.leak_on_return
+            if leak and fact.state == leak[0]:
+                _state, rule, template = leak
+                self._report(rule, template, var, fact.line,
+                             kind=spec.kind, via=via)
 
     # -- drivers ---------------------------------------------------------------
 
     def run_check(self) -> list[Finding]:
         cfg = build_cfg(self.func)
-        states = solve_forward(cfg, {}, self._transfer, _join)
+        states = solve_forward(cfg, {}, self._transfer, self.d.join)
         # Report only from fixpoint states: an intermediate state can
         # hold a concrete fact a later join degrades to unknown.
         self._reporting = True
         for node in cfg:
-            if node.nid in states:
-                self._transfer(node, states[node.nid])
+            if node.nid not in states:
+                continue                      # unreachable
+            out_n, out_e = self._transfer(node, states[node.nid])
+            if EXC_EXIT in node.exc:
+                self._check_leaks(out_e, node.lineno, raised=True)
+            if EXC_EXIT in node.succ:         # raise / finally rethrow
+                self._check_leaks(out_n, node.lineno, raised=True)
+            if EXIT in node.succ:
+                self._check_leaks(out_n, node.lineno, raised=False)
         self._reporting = False
         return sorted(self.findings.values(),
                       key=lambda f: (f.lineno, f.rule))
 
-    def run_summary(self, propagates: bool) -> Summary:
+    def run_summary(self, lines: Optional[list[str]]) -> Summary:
+        """*lines*: the module's source lines, for ``#: no-retry``
+        annotations (None: annotations are not seen)."""
         cfg = build_cfg(self.func)
-        states = solve_forward(cfg, {}, self._transfer, _join)
+        states = solve_forward(cfg, {}, self._transfer, self.d.join)
         params = set(self.info.params if self.info is not None else ())
         must: Optional[set[tuple[str, str]]] = None
         may: set[tuple[str, str]] = set()
         returns: Optional[set[str]] = None
+        propagates = False
         for node in cfg:
             if node.nid not in states:
                 continue
+            propagates = propagates or self._propagates(cfg, node, lines)
             out_n, out_e = self._transfer(node, states[node.nid])
             if EXC_EXIT in node.exc or EXC_EXIT in node.succ:
                 may |= self._param_states(out_e, params)
@@ -705,6 +783,23 @@ class _FunctionEngine:
             returns_acquired=tuple(sorted(returns or ())),
             may_yield=self.saw_yield,
             propagates_transient=propagates)
+
+    def _propagates(self, cfg: CFG, node: CFGNode,
+                    lines: Optional[list[str]]) -> bool:
+        """Errorpaths' interprocedural half: does a transient pager/disk
+        error escape through *node* to the caller?  Never when one of
+        its exception edges reaches a handler that catches it."""
+        if any(h in cfg.nodes and catches_transient(cfg.nodes[h].stmt)
+               for h in node.exc):
+            return False
+
+        def callee_propagates(call: ast.Call) -> bool:
+            return any(summary.propagates_transient
+                       for _fid, summary in self.lookup(call, self.info))
+
+        return any(transient_escapes(call, lines, callee_propagates)
+                   for expr in node.exprs for call in walk_local(expr)
+                   if isinstance(call, ast.Call))
 
     @staticmethod
     def _param_states(state: _State,
@@ -727,72 +822,6 @@ class _FunctionEngine:
         if acq is not None:
             return {f"{acq[0]}:{acq[1]}"}
         return set()
-
-
-# -- transient propagation (errorpaths' interprocedural half) ---------------
-
-def _function_propagates(info: FunctionInfo, lines: Optional[list[str]],
-                         callee_propagates: Callable[[ast.Call], bool]
-                         ) -> bool:
-    """Does a transient pager/disk error escape *info* to its caller?
-
-    True for a ``#: no-retry``-annotated transient op (the annotation
-    *means* "my caller retries"), and for an unprotected call to a
-    callee that itself propagates.
-    """
-    from repro.analysis.cfg import _header_exprs
-    from repro.analysis.errorpaths import (
-        TRANSIENT_OPS, _annotated, _call_tail, _catches_transient)
-
-    def scan(expr: ast.AST, protected: int) -> bool:
-        if protected:
-            return False
-        for sub in _walk_no_lambda(expr):
-            if not isinstance(sub, ast.Call):
-                continue
-            tail = _call_tail(sub)
-            if tail == "_call_pager":
-                continue            # the retry funnel itself
-            annotated = lines is not None \
-                and _annotated(lines, sub.lineno)
-            if tail in TRANSIENT_OPS:
-                if annotated:
-                    return True
-            elif not annotated and callee_propagates(sub):
-                return True
-        return False
-
-    def walk(stmts: Iterable[ast.stmt], protected: int) -> bool:
-        for stmt in stmts:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                continue
-            if isinstance(stmt, ast.Try):
-                protects = any(_catches_transient(h)
-                               for h in stmt.handlers)
-                if walk(stmt.body + stmt.orelse,
-                        protected + (1 if protects else 0)):
-                    return True
-                for handler in stmt.handlers:
-                    if walk(handler.body, protected):
-                        return True
-                if walk(stmt.finalbody, protected):
-                    return True
-                continue
-            # Only the statement's *header* expressions are evaluated
-            # at this protection depth; nested suites recurse below.
-            for expr in _header_exprs(stmt):
-                if scan(expr, protected):
-                    return True
-            for name in ("body", "orelse"):
-                inner = getattr(stmt, name, None)
-                if isinstance(inner, list) and inner \
-                        and isinstance(inner[0], ast.stmt):
-                    if walk(inner, protected):
-                        return True
-        return False
-
-    return walk(list(info.func.body), 0)
 
 
 # -- context: call graph + summaries over a module set -----------------------
@@ -848,21 +877,29 @@ def build_context(modules: Iterable[tuple[str, ast.AST,
     lines_of = {m: ln for m, _t, ln in modules}
 
     def local(info: FunctionInfo, lookup: SummaryLookup) -> Summary:
-        def callee_propagates(call: ast.Call) -> bool:
-            return any(summary.propagates_transient
-                       for _fid, summary in lookup(call, info))
-
-        propagates = _function_propagates(
-            info, lines_of.get(info.module), callee_propagates)
         engine = _FunctionEngine(info.module, info.qualname, info.func,
                                  info, graph, lookup)
-        return engine.run_summary(propagates)
+        return engine.run_summary(lines_of.get(info.module))
 
     summaries = compute_summaries(graph, local)
     return AnalysisContext(graph=graph, summaries=summaries)
 
 
 # -- the pass ----------------------------------------------------------------
+
+def check_discipline(discipline: Discipline, module: str, tree: ast.AST,
+                     ctx: Optional[AnalysisContext]) -> list[Finding]:
+    """Run *discipline* over every function of one module.  With
+    *ctx*, callee summaries apply at call sites; without one the
+    discipline's syntactic tables stand alone."""
+    findings: list[Finding] = []
+    for qualname, func in iter_functions(tree):
+        info = ctx.caller_info(module, qualname) if ctx else None
+        findings += _FunctionEngine(
+            module, qualname, func, info, ctx and ctx.graph,
+            ctx and ctx.lookup, discipline).run_check()
+    return findings
+
 
 def check_module(module: str, tree: ast.AST,
                  ctx: Optional[AnalysisContext] = None) -> list[Finding]:
@@ -871,13 +908,7 @@ def check_module(module: str, tree: ast.AST,
     still checked interprocedurally (what the fixtures exercise)."""
     if ctx is None:
         ctx = build_context([(module, tree, None)])
-    findings: list[Finding] = []
-    for qualname, func in iter_functions(tree):
-        info = ctx.caller_info(module, qualname)
-        engine = _FunctionEngine(module, qualname, func, info,
-                                 ctx.graph, ctx.lookup)
-        findings += engine.run_check()
-    return findings
+    return check_discipline(TYPESTATE, module, tree, ctx)
 
 
 def in_scope(module: str, package: str = "repro") -> bool:

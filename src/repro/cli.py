@@ -29,10 +29,11 @@ Commands:
   trace_event JSON;
 * ``check [--lint-only] [--report FILE] [--no-cache]`` — run the
   static analyses over the source tree (MD/MI layering lint,
-  concurrency lint, and the five dataflow passes: resource lifecycle,
+  guarded-by lint, and the six flow passes: resource lifecycle,
   pmap MI-contract conformance, error-path completeness, determinism,
-  interprocedural typestate), then the runtime invariant sweeps on
-  all five pmap architectures (see :mod:`repro.analysis`); results
+  interprocedural typestate, may-yield atomicity), then the runtime
+  invariant sweeps on all five pmap architectures (see
+  :mod:`repro.analysis`); results
   are cached under ``.repro-cache/`` so unchanged modules are not
   re-analyzed (``--no-cache`` disables); ``--report`` writes a
   versioned JSON report; a crashing analysis is reported as an
@@ -542,8 +543,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     else:
         print("layering lint: checking the MD/MI import contract ...")
         violations = guarded("layering lint", lint_source_tree)
-        print("concurrency lint: may-yield atomicity + guarded-by "
-              "contract ...")
+        print("concurrency lint: guarded-by contract ...")
         violations += guarded("concurrency lint",
                               lint_source_concurrency)
         lint_lines = [str(v) for v in violations]

@@ -68,3 +68,15 @@ class ShootdownBeforeYield:
         self._strip(pmap, start, end)
         ctx.read(start)                 # shootdown-before-yield
         self.system.shootdown(pmap, start, end)
+
+
+class ShootdownBeforeYieldSpawned:
+    """The same crime in a thread body known only by being spawned:
+    its parameter is not named ``ctx``."""
+
+    def start(self, sched, task, pmap, start, end):
+        def body(t):
+            pmap.remove(start, end, shoot=False)
+            yield                       # shootdown-before-yield
+            self.system.shootdown(pmap, start, end)
+        sched.spawn(task, body)

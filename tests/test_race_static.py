@@ -9,6 +9,7 @@ import textwrap
 
 import pytest
 
+from repro.analysis.flow import run_flow_passes
 from repro.analysis.layering import lint_package
 from repro.analysis.race import (
     DISCIPLINES,
@@ -220,6 +221,21 @@ class TestAtomicityLint:
             """
         assert lint_atomicity_source(textwrap.dedent(src)) == []
 
+    def test_spawned_body_yield_is_preemption(self):
+        # A function passed to .spawn() is a thread body even when its
+        # parameter is not named ``ctx``: its yields preempt.
+        src = """
+            def workload(sched, task, obj):
+                def body(t):
+                    n = obj.size
+                    yield
+                    obj.size = n + 1
+                sched.spawn(task, body)
+            """
+        violations = lint_atomicity_source(textwrap.dedent(src))
+        assert _rules(violations) == {"atomicity-hazard"}
+        assert "workload.body" in violations[0].message
+
     def test_syntax_error_reported_not_raised(self):
         assert _rules(lint_atomicity_source("def f(:\n")) \
             == {"syntax-error"}
@@ -311,6 +327,10 @@ class TestRealTree:
                     sched.spawn(task, bump)
                 """,
         })
-        rules = _rules(lint_concurrency(root, "pkg"))
-        # One pass surfaces violations from both halves.
+        # The guarded-by half is the tree lint; the atomicity half is
+        # a cached flow pass over the same tree.
+        atomicity = run_flow_passes(root, "pkg", passes=["atomicity"])
+        assert atomicity.errors == []
+        rules = _rules(lint_concurrency(root, "pkg")) \
+            | {f.rule for f in atomicity.findings}
         assert {"guarded-by", "stale-read-across-yield"} <= rules

@@ -188,6 +188,48 @@ class TestInterprocedural:
         """)
         assert ("shootdown-before-yield", "K.run") in _rules(findings)
 
+    def test_spawned_body_preempts_at_yield(self):
+        """A thread body is a ThreadContext taker *or* a function
+        passed to .spawn(): both preempt at a bare yield."""
+        findings = _inline_findings("""
+            class K:
+                def start(self, sched, task, pmap, start, end):
+                    def body(t):
+                        pmap.remove(start, end, shoot=False)
+                        yield
+                        self.system.shootdown(pmap, start, end)
+                    sched.spawn(task, body)
+
+                def twin(self, pmap, start, end):
+                    def body(ctx):
+                        pmap.remove(start, end, shoot=False)
+                        yield
+                        self.system.shootdown(pmap, start, end)
+                    return body
+        """)
+        assert ("shootdown-before-yield", "K.start.body") \
+            in _rules(findings)
+        assert ("shootdown-before-yield", "K.twin.body") \
+            in _rules(findings)
+
+    def test_thread_body_judged_per_definition(self):
+        """Two definitions sharing a qualname share one call-graph
+        entry; each is still a thread body (or not) by its own
+        parameters."""
+        findings = _inline_findings("""
+            def make(fast, pmap, start, end, system):
+                if fast:
+                    def body(ctx):
+                        pmap.remove(start, end, shoot=False)
+                        yield
+                        system.shootdown(pmap, start, end)
+                else:
+                    def body(other):
+                        return other
+                return body
+        """)
+        assert ("shootdown-before-yield", "make.body") in _rules(findings)
+
     def test_escaped_param_degrades_tracking(self):
         """A callee that stores the page into a container gives up
         ownership knowledge — later direct frees must not report."""
