@@ -39,8 +39,8 @@ from typing import Callable, Iterable, Optional
 __all__ = [
     "CallGraph", "FunctionInfo", "Summary", "attr_chain",
     "build_callgraph", "compute_summaries", "ctx_params",
-    "is_preemption_call", "is_thread_body", "join_summaries",
-    "spawned_names", "strongly_connected",
+    "function_ids", "is_preemption_call", "is_thread_body",
+    "join_summaries", "spawned_names", "strongly_connected",
 ]
 
 #: Receiver names that pin a method call to one class: ``x.resident.free``
@@ -148,7 +148,7 @@ def is_preemption_call(call: ast.Call, ctx_names: frozenset[str]) -> bool:
 class FunctionInfo:
     """One function (or method) in the call graph."""
 
-    fid: str                 # "module:Qual.name" — globally unique
+    fid: str                 # "module:Qual.name" (see function_ids)
     module: str              # dotted module
     qualname: str            # e.g. "ResidentPageTable.free"
     name: str                # terminal name, e.g. "free"
@@ -265,11 +265,28 @@ class CallGraph:
         return bound
 
 
+def function_ids(module: str,
+                 tree: ast.AST) -> list[tuple[str, str, ast.AST]]:
+    """``(fid, qualname, node)`` for every function of one module, in
+    :func:`~repro.analysis.cfg.iter_functions` order.  A fid is
+    ``"module:qualname"``; a qualname defined more than once (a
+    ``def body`` in each arm of an ``if``) numbers its second and
+    later definitions ``"module:qualname#2"``, ``#3``, ... so every
+    definition keeps its own summary."""
+    from repro.analysis.cfg import iter_functions
+
+    seen: dict[str, int] = {}
+    ids = []
+    for qualname, func in iter_functions(tree):
+        nth = seen[qualname] = seen.get(qualname, 0) + 1
+        suffix = f"#{nth}" if nth > 1 else ""
+        ids.append((f"{module}:{qualname}{suffix}", qualname, func))
+    return ids
+
+
 def build_callgraph(modules: Iterable[tuple[str, ast.AST]]) -> CallGraph:
     """Index every function under *modules* (``(dotted name, tree)``
     pairs) and resolve each function's call sites to candidate fids."""
-    from repro.analysis.cfg import iter_functions
-
     graph = CallGraph()
     per_module: list[tuple[str, ast.AST]] = list(modules)
     for module, tree in per_module:
@@ -277,8 +294,7 @@ def build_callgraph(modules: Iterable[tuple[str, ast.AST]]) -> CallGraph:
         classes = frozenset(n.name for n in nodes
                             if isinstance(n, ast.ClassDef))
         spawned = spawned_names(nodes)
-        for qualname, func in iter_functions(tree):
-            fid = f"{module}:{qualname}"
+        for fid, qualname, func in function_ids(module, tree):
             graph._add(FunctionInfo(
                 fid=fid, module=module, qualname=qualname,
                 name=qualname.split(".")[-1],

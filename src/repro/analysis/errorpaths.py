@@ -33,14 +33,15 @@ from __future__ import annotations
 import ast
 from typing import Callable, Optional
 
-from repro.analysis.callgraph import is_thread_body, spawned_names
+from repro.analysis.callgraph import function_ids, is_thread_body, \
+    spawned_names
 from repro.analysis.flow import Finding
 from repro.analysis.layering import _strip
 
 PASS_NAME = "errorpaths"
 
 #: Part of the incremental-cache key: bump on any behavior change.
-PASS_VERSION = "3"
+PASS_VERSION = "4"
 
 #: Packages whose code counts as kernel paths.
 SCOPE = ("core", "pager", "ipc", "fs")
@@ -131,14 +132,19 @@ def transient_escapes(call: ast.Call, lines: Optional[list[str]],
 
 class _ModuleChecker(ast.NodeVisitor):
     def __init__(self, module: str, source_lines: list[str],
-                 spawned: frozenset[str], ctx=None) -> None:
+                 tree: ast.AST, ctx=None) -> None:
         self.module = module
         self.lines = source_lines
-        self.spawned = spawned    # names passed to .spawn() in the module
+        # names passed to .spawn() in the module
+        self.spawned = spawned_names(ast.walk(tree))
         self.ctx = ctx            # typestate.AnalysisContext or None
+        # FunctionDef node -> its call-graph fid
+        self.fids = {id(func): fid
+                     for fid, _q, func in function_ids(module, tree)}
         self.findings: list[Finding] = []
         self._protected = 0       # depth of try-with-catcher / funnel
         self._scope: list[str] = []
+        self._fid: list[str] = []
         self._thread_body: list[bool] = []
 
     @property
@@ -149,9 +155,11 @@ class _ModuleChecker(ast.NodeVisitor):
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._scope.append(node.name)
+        self._fid.append(self.fids[id(node)])
         self._thread_body.append(is_thread_body(node, self.spawned))
         self.generic_visit(node)
         self._thread_body.pop()
+        self._fid.pop()
         self._scope.pop()
 
     visit_AsyncFunctionDef = visit_FunctionDef
@@ -167,10 +175,14 @@ class _ModuleChecker(ast.NodeVisitor):
         protects = any(catches_transient(h) for h in node.handlers)
         if protects:
             self._protected += 1
-        for stmt in node.body + node.orelse:
+        for stmt in node.body:
             self.visit(stmt)
         if protects:
             self._protected -= 1
+        # ``else:`` runs after the body completed: its handlers do not
+        # cover it.
+        for stmt in node.orelse:
+            self.visit(stmt)
         for handler in node.handlers:
             names = _exc_name(handler.type)
             broad = ("<bare>" in names or "Exception" in names
@@ -233,9 +245,9 @@ class _ModuleChecker(ast.NodeVisitor):
         self.generic_visit(node)
 
     def _callee_propagates(self, call: ast.Call) -> bool:
-        if self.ctx is None:
+        if self.ctx is None or not self._fid:
             return False
-        info = self.ctx.caller_info(self.module, self._where)
+        info = self.ctx.graph.functions.get(self._fid[-1])
         if info is None:
             return False
         return any(summary.propagates_transient
@@ -247,8 +259,7 @@ def check_module(module: str, tree: ast.AST,
     """Run the error-path rules over one parsed module.  With a
     :class:`repro.analysis.typestate.AnalysisContext`, calls to
     functions whose summaries propagate transients are checked too."""
-    checker = _ModuleChecker(module, source_lines,
-                             spawned_names(ast.walk(tree)), ctx)
+    checker = _ModuleChecker(module, source_lines, tree, ctx)
     checker.visit(tree)
     return checker.findings
 

@@ -65,9 +65,10 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.analysis.callgraph import (
-    FunctionInfo, ctx_params, is_preemption_call, is_thread_body,
+    FunctionInfo, ctx_params, function_ids, is_preemption_call,
+    is_thread_body,
 )
-from repro.analysis.cfg import iter_functions, walk_local
+from repro.analysis.cfg import walk_local
 from repro.analysis.flow import Finding
 from repro.analysis.layering import (
     LintViolation, _module_name, _strip, _within,
@@ -79,8 +80,9 @@ from repro.analysis.schedules import (
     explore_schedules,
 )
 from repro.analysis.invariants import assert_all
-from repro.analysis.sweeps import SWEEP_ARCHS, _spec
+from repro.analysis.sweeps import SWEEP_ARCHS, _spec, run_cells
 from repro.analysis.typestate import build_context
+from repro.bench.perfbench import QUICK_ARCHS
 from repro.core.kernel import MachKernel
 from repro.core.constants import VMProt
 from repro.pmap.interface import ShootdownStrategy
@@ -476,8 +478,8 @@ def check_atomicity(module: str, tree: ast.AST,
     if ctx is None:
         ctx = build_context([(module, tree, None)])
     findings: list[Finding] = []
-    for qualname, func in iter_functions(tree):
-        info = ctx.caller_info(module, qualname)
+    for fid, qualname, func in function_ids(module, tree):
+        info = ctx.graph.functions.get(fid)
         if info is None or not ctx.summaries[info.fid].may_yield:
             continue
         findings += _scan_function(module, qualname,
@@ -849,8 +851,6 @@ KB = 1024
 #: Default base seed of the storm (a different universe per --seed).
 DEFAULT_SEED = 0xACE5
 
-QUICK_ARCHS = ("generic", "vax", "sun3")
-
 
 def cell_seed(base_seed: int, arch: str, strategy: str,
               workload: str) -> int:
@@ -1050,22 +1050,7 @@ def run_races(archs: Optional[Sequence[str]] = None,
         strategies = tuple(ShootdownStrategy)
     cells = [(arch, strategy.value, seed)
              for arch in archs for strategy in strategies]
-    results: list[RaceCellResult] = []
-    if jobs is not None and jobs > 1 and len(cells) > 1:
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(min(jobs, len(cells))) as pool:
-            for result in pool.imap(_run_storm_cell, cells):
-                results.append(result)
-                if verbose:
-                    print(str(result))
-    else:
-        for cell in cells:
-            results.append(_run_storm_cell(cell))
-            if verbose:
-                print(str(results[-1]))
-    return results
+    return run_cells(_run_storm_cell, cells, jobs=jobs, verbose=verbose)
 
 
 # ======================================================================

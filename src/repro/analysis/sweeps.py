@@ -30,6 +30,7 @@ from repro.analysis.invariants import (
     install_sanitizer,
     uninstall_sanitizer,
 )
+from repro.bench.perfbench import BENCH_ARCHS
 from repro.bench.testing import make_spec
 from repro.bench.workloads import MachSUT, measure_fork, measure_zero_fill
 from repro.core.constants import FaultType, VMProt
@@ -37,16 +38,12 @@ from repro.core.kernel import MachKernel
 from repro.pmap.interface import ShootdownStrategy
 
 KB = 1024
-MB = 1024 * 1024
 
-#: Machine parameters per architecture (mirrors the test fixtures).
+#: Machine parameters per architecture: the shared arch matrix
+#: without the Sun-3 VAC variant (five pmaps).
 SWEEP_ARCHS: dict[str, dict] = {
-    "generic": {},
-    "vax": dict(hw_page_size=512, page_size=4096),
-    "rt_pc": dict(hw_page_size=2048, page_size=4096),
-    "sun3": dict(hw_page_size=8192, page_size=8192, mmu_contexts=8),
-    "ns32082": dict(hw_page_size=512, page_size=4096,
-                    va_limit=16 * MB, buggy_rmw_reports_read=True),
+    arch: params for arch, params in BENCH_ARCHS.items()
+    if arch != "sun3_vac"
 }
 
 
@@ -189,19 +186,35 @@ def run_sweeps(archs=None, verbose: bool = False,
     """
     cells = [(arch, name) for arch in (archs or SWEEP_ARCHS)
              for name, _ in WORKLOADS]
-    results: list[SweepResult] = []
+    return run_cells(_run_cell, cells, jobs=jobs, verbose=verbose)
+
+
+def run_cells(run_cell, cells: list, jobs: int | None = None,
+              verbose: bool = False) -> list:
+    """Run ``run_cell(cell)`` for every cell of a sweep matrix; returns
+    the results in matrix order.
+
+    With ``jobs > 1`` the cells fan out over a process pool (fork), one
+    cell per task, so *run_cell* must be module-level (picklable) and
+    must turn its own crashes into failing results — an exception
+    escaping a worker would abort the whole matrix.  *verbose* prints
+    each result as it arrives.  The invariant sweeps, the fault sweep
+    and the race storm all run through here.
+    """
+    results = []
+
+    def collect(stream) -> None:
+        for result in stream:
+            results.append(result)
+            if verbose:
+                print(str(result))
+
     if jobs is not None and jobs > 1 and len(cells) > 1:
         import multiprocessing
 
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(min(jobs, len(cells))) as pool:
-            for result in pool.imap(_run_cell, cells):
-                results.append(result)
-                if verbose:
-                    print(str(result))
+            collect(pool.imap(run_cell, cells))
     else:
-        for cell in cells:
-            results.append(_run_cell(cell))
-            if verbose:
-                print(str(results[-1]))
+        collect(map(run_cell, cells))
     return results

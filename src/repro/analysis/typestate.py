@@ -56,10 +56,10 @@ from typing import Callable, Iterable, Optional
 from repro.analysis.callgraph import (
     CallGraph, EMPTY_SUMMARY, FunctionInfo, Summary, SummaryLookup,
     attr_chain, build_callgraph, compute_summaries, ctx_params,
-    is_preemption_call, is_thread_body,
+    function_ids, is_preemption_call, is_thread_body,
 )
 from repro.analysis.cfg import CFG, EXC_EXIT, EXIT, CFGNode, build_cfg, \
-    iter_functions, walk_local
+    walk_local
 from repro.analysis.errorpaths import catches_transient, transient_escapes
 from repro.analysis.flow import Finding, iter_source_modules, solve_forward
 from repro.analysis.layering import _strip
@@ -838,10 +838,6 @@ class AnalysisContext:
         return [(f, self.summaries.get(f, EMPTY_SUMMARY))
                 for f in self.graph.resolve(call, caller)]
 
-    def caller_info(self, module: str,
-                    qualname: str) -> Optional[FunctionInfo]:
-        return self.graph.functions.get(f"{module}:{qualname}")
-
     def summary_digest(self, module: str) -> str:
         """Stable digest of every summary in *module* — the
         "dependency summary" component of incremental cache keys."""
@@ -893,8 +889,8 @@ def check_discipline(discipline: Discipline, module: str, tree: ast.AST,
     *ctx*, callee summaries apply at call sites; without one the
     discipline's syntactic tables stand alone."""
     findings: list[Finding] = []
-    for qualname, func in iter_functions(tree):
-        info = ctx.caller_info(module, qualname) if ctx else None
+    for fid, qualname, func in function_ids(module, tree):
+        info = ctx.graph.functions.get(fid) if ctx else None
         findings += _FunctionEngine(
             module, qualname, func, info, ctx and ctx.graph,
             ctx and ctx.lookup, discipline).run_check()

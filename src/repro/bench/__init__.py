@@ -1,6 +1,5 @@
 """Benchmark workloads and reporting for the paper's evaluation."""
 
-from repro.bench.perfbench import run_perf_bench
 from repro.bench.reporting import Row, Table, fmt_min, fmt_ms, fmt_s, \
     fmt_sys_elapsed
 from repro.bench.workloads import (
@@ -23,5 +22,5 @@ __all__ = [
     "MACH_KERNEL_BUILD", "MachSUT", "Measurement", "Row", "SunOsSUT",
     "THIRTEEN_PROGRAMS", "Table", "fmt_min", "fmt_ms", "fmt_s",
     "fmt_sys_elapsed", "measure_fork", "measure_read_file",
-    "measure_zero_fill", "run_compile_workload", "run_perf_bench",
+    "measure_zero_fill", "run_compile_workload",
 ]

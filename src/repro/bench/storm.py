@@ -21,7 +21,8 @@ pool, the pageout daemon and the TLBs:
 Everything is measured in *simulated* microseconds off the machine
 clock and every source of variation is seeded, so a given
 ``(arch, tasks, pages, rounds, seed)`` cell reproduces its percentiles
-bit-for-bit — which is what lets CI gate on them.
+bit-for-bit — which is what lets ``repro storm --pager`` gate on the
+pager-stall storm's :data:`PAGER_SERIALIZED_SLO`.
 """
 
 from __future__ import annotations
@@ -51,6 +52,11 @@ PAGER_STALL_RATE = 0.05
 #: Readahead window (pages) the v2 serving path advertises to the
 #: storm's store pagers.
 PAGER_STORM_READAHEAD = 4
+#: Pager-stall storm SLO: the v2 serving path's p99 fault latency must
+#: not be worse than the serialized pre-v2 control on the same shape
+#: and seed.  Every cell carries its own control, so the check needs
+#: no baseline and is deterministic for a seed.
+PAGER_SERIALIZED_SLO = 1.0
 
 
 def _boot(arch: str, tasks: int, pages: int,
@@ -341,6 +347,20 @@ def run_pager_storm_matrix(archs=None, quick: bool = False,
         payload["archs"][arch] = cell
         telemetries[arch] = telemetry
     return payload, telemetries
+
+
+def pager_slo_breaches(payload: dict) -> list[str]:
+    """The cells of a :func:`run_pager_storm_matrix` payload whose
+    ``p99_vs_serialized`` exceeds :data:`PAGER_SERIALIZED_SLO`, one
+    message each (empty means the SLO holds)."""
+    return [
+        f"pager-storm p99 ({arch}) {vs:.3f}x the serialized control "
+        f"(SLO {PAGER_SERIALIZED_SLO:.2f}x: the v2 serving path must "
+        f"not lose to blocking backoff)"
+        for arch, cell in payload["archs"].items()
+        if (vs := cell["p99_vs_serialized"]) is not None
+        and vs > PAGER_SERIALIZED_SLO
+    ]
 
 
 def run_storm_matrix(archs=None, quick: bool = False,

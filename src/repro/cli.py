@@ -7,9 +7,8 @@ Commands:
 * ``demo [--machine NAME]`` — run the core-mechanism walkthrough
   (allocate, fault, COW fork, sharing, statistics) on a chosen machine;
 * ``bench [--table {7-1,7-2}] [--quick]`` — regenerate the paper's
-  evaluation tables; ``bench --json [--out FILE]`` instead times the
-  simulator's own hot paths (forget/refault fault microbench +
-  invariant-sweep wall-clock) and writes a JSON report;
+  evaluation tables (the simulator's own wall-clock is measured by
+  ``vmbench/``, not here);
 * ``fault-trace [--machine NAME]`` — narrate every step of a single
   copy-on-write fault, for teaching (including the event-bus span tree
   of the fault);
@@ -20,13 +19,16 @@ Commands:
   CPU plus daemon/pager lanes), a derived-metrics summary, or the
   nested span tree with a top-N self-time profile;
 * ``storm [--arch NAME] [--tasks N] [--pages N] [--rounds N]
-  [--seed N] [--quick] [--json] [--out FILE] [--trace-out FILE]`` —
-  the fault-storm load generator: ramp N concurrent faulting tasks on
-  an overcommitted machine across the pmap arch matrix and report the
-  fault-latency distribution (p50/p95/p99/p999) with per-pipeline-
-  stage attribution from :class:`repro.obs.FaultTelemetry`;
-  ``--trace-out`` exports the worst-percentile faults as Chrome
-  trace_event JSON;
+  [--seed N] [--pager] [--quick] [--json] [--out FILE]
+  [--trace-out FILE]`` — the fault-storm load generator: ramp N
+  concurrent faulting tasks on an overcommitted machine across the
+  pmap arch matrix and report the fault-latency distribution
+  (p50/p95/p99/p999) with per-pipeline-stage attribution from
+  :class:`repro.obs.FaultTelemetry`; ``--trace-out`` exports the
+  worst-percentile faults as Chrome trace_event JSON; ``--pager``
+  runs the pager-stall storm instead and exits 1 when any cell's p99
+  loses to its serialized control
+  (:data:`repro.bench.storm.PAGER_SERIALIZED_SLO`);
 * ``check [--lint-only] [--report FILE] [--no-cache]`` — run the
   static analyses over the source tree (MD/MI layering lint,
   guarded-by lint, and the six flow passes: resource lifecycle,
@@ -294,61 +296,7 @@ def cmd_show(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    """``repro bench``: regenerate evaluation tables, or (``--json``)
-    time the simulator's own hot paths."""
-    if args.json:
-        import json
-        import os
-
-        from repro.bench import run_perf_bench
-        from repro.bench.compare import compare_reports, \
-            format_comparison, load_report
-
-        from repro.bench.perfbench import DEFAULT_SEED
-
-        seed = DEFAULT_SEED if args.seed is None else args.seed
-        payload = run_perf_bench(quick=args.quick, seed=seed)
-        out = args.out or "BENCH_9.json"
-        with open(out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        fault = payload["fault_microbench"]
-        scalar = payload["fault_microbench_scalar"]
-        sweep = payload["invariant_sweeps"]
-        print(f"fault microbench (batch lane): {fault['faults']} "
-              f"faults in {fault['wall_s']:.3f}s "
-              f"({fault['faults_per_s']:.0f} faults/s; one page per trap "
-              f"{scalar['faults_per_s']:.0f} faults/s)")
-        print("per-arch (batch, faults/s): " + ", ".join(
-            f"{arch}={fps:.0f}" for arch, fps in
-            payload["per_arch_fault_throughput"].items()))
-        print(f"invariant sweeps: {sweep['cells']} cells in "
-              f"{sweep['wall_s']:.3f}s serial"
-              + (f", {payload['invariant_sweeps_parallel']['wall_s']:.3f}s "
-                 f"with {payload['invariant_sweeps_parallel']['jobs']} "
-                 f"jobs" if "invariant_sweeps_parallel" in payload
-                 else "")
-              + f" ({'ok' if sweep['ok'] else 'FAILED'})")
-        tail = payload["fault_tail_latency"]["per_arch"]
-        print("fault tail latency (simulated, p99 us): " + ", ".join(
-            f"{arch}={cell['p99_us']:.0f}" for arch, cell in
-            tail.items()))
-        pager = payload["pager_storm"]["per_arch"]
-        print("pager-stall storm (p99 vs serialized control): "
-              + ", ".join(
-                  f"{arch}={cell['p99_vs_serialized']:.3f}x"
-                  for arch, cell in pager.items()))
-        print("  tasks completed during pager waits: " + ", ".join(
-            f"{arch}={cell['tasks_completed_during_pager_wait']}"
-            for arch, cell in pager.items()))
-        print(f"wrote {out}")
-        baseline = args.baseline
-        if baseline and os.path.exists(baseline) \
-                and os.path.abspath(baseline) != os.path.abspath(out):
-            delta = compare_reports(load_report(baseline), payload)
-            print(format_comparison(delta, baseline, out))
-        return 0 if sweep["ok"] else 1
-
+    """``repro bench``: regenerate the paper's evaluation tables."""
     from repro.bench import (
         BsdSUT, FORK_TEST_PROGRAM, MachSUT, SunOsSUT,
         THIRTEEN_PROGRAMS, Table, fmt_sys_elapsed, measure_fork,
@@ -412,11 +360,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_storm(args: argparse.Namespace) -> int:
     """``repro storm``: the fault-storm load generator — tail-latency
-    percentiles with per-stage attribution across the arch matrix."""
+    percentiles with per-stage attribution across the arch matrix;
+    with ``--pager``, exit 1 on a pager-storm SLO breach."""
     import json
 
     from repro.bench.storm import (
-        STORM_SEED, run_pager_storm_matrix, run_storm_matrix,
+        STORM_SEED, pager_slo_breaches, run_pager_storm_matrix,
+        run_storm_matrix,
     )
     from repro.obs import validate_chrome_trace
     from repro.obs.telemetry import format_latency_report
@@ -474,7 +424,10 @@ def cmd_storm(args: argparse.Namespace) -> int:
             handle.write("\n")
         print(f"wrote worst-fault trace ({first}) to "
               f"{args.trace_out}")
-    return 0
+    breaches = pager_slo_breaches(payload) if args.pager else []
+    for breach in breaches:
+        print(f"SLO FAIL: {breach}", file=sys.stderr)
+    return 1 if breaches else 0
 
 
 def _lint_tree_digest():
@@ -613,8 +566,10 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_faultsweep(args: argparse.Namespace) -> int:
     """``repro faultsweep``: the fault-injection survival matrix."""
+    from repro.analysis.sweeps import SWEEP_ARCHS
+    from repro.bench.perfbench import QUICK_ARCHS
     from repro.inject import run_faultsweep
-    from repro.inject.sweep import QUICK_ARCHS, SCENARIOS, SWEEP_ARCHS
+    from repro.inject.sweep import SCENARIOS
 
     archs = [args.arch] if args.arch else None
     scenarios = [args.scenario] if args.scenario else None
@@ -637,13 +592,9 @@ def cmd_faultsweep(args: argparse.Namespace) -> int:
 
 def cmd_races(args: argparse.Namespace) -> int:
     """``repro races``: the concurrency storm / schedule explorer."""
-    from repro.analysis.race import (
-        DEFAULT_SEED,
-        QUICK_ARCHS,
-        explore_shootdown,
-        run_races,
-    )
+    from repro.analysis.race import explore_shootdown, run_races
     from repro.analysis.sweeps import SWEEP_ARCHS
+    from repro.bench.perfbench import QUICK_ARCHS
     from repro.core.statistics import KernelStats
     from repro.pmap.interface import ShootdownStrategy
 
@@ -730,21 +681,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--table", choices=["7-1", "7-2"])
     bench.add_argument("--quick", action="store_true",
                        help="smaller workloads")
-    bench.add_argument("--json", action="store_true",
-                       help="time the simulator's own hot paths "
-                            "(fault microbench + sweep wall-clock) "
-                            "and write a JSON report")
-    bench.add_argument("--out",
-                       help="output file for --json "
-                            "(default BENCH_9.json)")
-    bench.add_argument("--seed", type=lambda v: int(v, 0),
-                       default=None,
-                       help="seed for the microbench forget order "
-                            "(recorded in the JSON report)")
-    bench.add_argument("--baseline", default="BENCH_8.json",
-                       help="previous BENCH_<n>.json to print a "
-                            "before/after ratio against (skipped "
-                            "when missing)")
 
     storm = sub.add_parser(
         "storm",
@@ -772,7 +708,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="pager-stall storm: external-style store "
                             "pagers with injected transient stalls, "
                             "each cell paired with a serialized "
-                            "pre-v2 control")
+                            "pre-v2 control; exits 1 when a cell's "
+                            "p99 loses to its control")
     storm.add_argument("--quick", action="store_true",
                        help="3 architectures, smaller load (CI smoke)")
     storm.add_argument("--json", action="store_true",

@@ -24,7 +24,8 @@ import zlib
 from dataclasses import dataclass
 
 from repro.analysis.invariants import assert_all
-from repro.analysis.sweeps import SWEEP_ARCHS
+from repro.analysis.sweeps import SWEEP_ARCHS, run_cells
+from repro.bench.perfbench import QUICK_ARCHS
 from repro.bench.testing import make_spec
 from repro.core.constants import FaultType
 from repro.core.errors import VMError
@@ -55,9 +56,6 @@ SCENARIO_CONFIGS: dict[str, FaultConfig] = {
                             ipc_delay=0.05),
     "pageout-pressure": CHAOS,
 }
-
-#: Quick mode still covers every fault class on three architectures.
-QUICK_ARCHS = ("generic", "vax", "sun3")
 
 
 @dataclass
@@ -377,19 +375,5 @@ def run_faultsweep(archs=None, scenarios=None, seed: int = DEFAULT_SEED,
         scenarios = tuple(SCENARIOS)
     cells = [(arch, scenario, cell_seed(seed, arch, scenario), quick)
              for arch in archs for scenario in scenarios]
-    results: list[CellResult] = []
-    if jobs is not None and jobs > 1 and len(cells) > 1:
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(min(jobs, len(cells))) as pool:
-            for result in pool.imap(_run_matrix_cell, cells):
-                results.append(result)
-                if verbose:
-                    print(str(result))
-    else:
-        for cell in cells:
-            results.append(_run_matrix_cell(cell))
-            if verbose:
-                print(str(results[-1]))
-    return results
+    return run_cells(_run_matrix_cell, cells, jobs=jobs,
+                     verbose=verbose)

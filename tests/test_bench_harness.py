@@ -19,6 +19,7 @@ from repro.bench import (
     measure_zero_fill,
     run_compile_workload,
 )
+from repro.bench.perfbench import BENCH_ARCHS
 from repro.bench.workloads import KB
 
 
@@ -111,10 +112,11 @@ class TestReporting:
 
 
 class TestFastLanePerfGuards:
-    """Counter-based guards for the fault fast lane (no wall-clock):
-    a batched object-run costs at most one shadow-chain walk and at
-    most one TLB shootdown, and the bench report records what a
-    regression needs (seed, arch list, per-arch throughput)."""
+    """Counter-based guards for the fault path (no wall-clock, so
+    no noise): a batched object-run costs at most one shadow-chain
+    walk and at most one TLB shootdown, and forget/refault churn costs
+    the same bounded operation counts per fault on both lanes and
+    every architecture."""
 
     def _booted(self, pages=16, ncpus=2):
         from repro.bench.testing import make_spec
@@ -173,31 +175,70 @@ class TestFastLanePerfGuards:
         assert kernel.clock.elapsed_us - clock_before >= \
             pages * per_fault
 
-    def test_bench_report_records_repro_inputs(self):
-        from repro.bench import run_perf_bench
-        from repro.bench.perfbench import DEFAULT_SEED, QUICK_ARCHS
+    @pytest.mark.parametrize("arch", list(BENCH_ARCHS))
+    def test_churn_operation_counts_per_fault(self, arch):
+        """Seeded forget/refault churn (20 rounds x 32 pages, the
+        forget order shuffled with seed 0xBE7C) through the batch lane
+        and through the one-page trap path: the same fault stream costs
+        the same bounded pmap, shootdown and shadow-chain work per
+        fault on either lane, on every architecture."""
+        counts = {lane: _churn_counts(arch, lane)
+                  for lane in ("batch", "trap")}
+        for lane, ops in counts.items():
+            faults = ops["faults"]
+            assert faults == 20 * 32, (lane, ops)
+            assert ops["enters"] <= faults, (lane, ops)
+            assert ops["forgets"] <= faults, (lane, ops)
+            # The forget's remove plus at most one displacement sweep.
+            assert ops["removes"] <= 2 * faults, (lane, ops)
+            assert ops["shootdowns"] <= faults, (lane, ops)
+            assert ops["chain_walks"] == 0, (lane, ops)
+        removes = {lane: ops.pop("removes")
+                   for lane, ops in counts.items()}
+        assert removes["batch"] <= removes["trap"]
+        assert counts["batch"] == counts["trap"]
 
-        payload = run_perf_bench(quick=True)
-        assert payload["seed"] == DEFAULT_SEED
-        assert payload["archs"] == list(QUICK_ARCHS)
-        per_arch = payload["per_arch_fault_throughput"]
-        assert set(per_arch) == set(QUICK_ARCHS)
-        assert all(v > 0 for v in per_arch.values())
-        assert payload["fault_microbench"]["lane"] == "batch"
-        assert payload["fault_microbench_scalar"]["lane"] == "scalar"
-        # Identical fault stream on both lanes.
-        assert payload["fault_microbench"]["faults"] == \
-            payload["fault_microbench_scalar"]["faults"]
 
-    def test_compare_reports_ratio(self):
-        from repro.bench.compare import compare_reports
+def _churn_counts(arch: str, lane: str, rounds: int = 20,
+                  pages: int = 32, seed: int = 0xBE7C) -> dict:
+    """Operation counters of one forget/refault churn run: every
+    mapping of a warmed region is dropped through ``Pmap.forget`` in a
+    seed-shuffled order, then rebuilt by one ``fault_batch`` run
+    (*lane* ``"batch"``) or by one read per page through the MMU trap
+    (``"trap"``)."""
+    import random
 
-        base = {"fault_microbench": {"faults_per_s": 1000.0},
-                "invariant_sweeps": {"wall_s": 2.0}}
-        cur = {"fault_microbench": {"faults_per_s": 3000.0},
-               "invariant_sweeps": {"wall_s": 1.0}}
-        delta = compare_reports(base, cur)
-        assert delta["fault_ratio"] == 3.0
-        assert delta["sweep_ratio"] == 2.0
-        # Missing fields degrade to None, not a crash.
-        assert compare_reports({}, cur)["fault_ratio"] is None
+    from repro.bench.testing import make_spec
+    from repro.core.constants import FaultType
+    from repro.core.kernel import MachKernel
+
+    kernel = MachKernel(make_spec(name=f"churn-{arch}", pmap_name=arch,
+                                  memory_frames=pages * 4,
+                                  **BENCH_ARCHS[arch]))
+    task = kernel.task_create(name="churn")
+    page = kernel.page_size
+    addr = task.vm_allocate(pages * page)
+    for off in range(0, pages * page, page):
+        task.write(addr + off, b"warm")
+    forget_order = list(range(0, pages * page, page))
+    random.Random(seed).shuffle(forget_order)
+
+    stats = task.pmap.stats
+
+    def snapshot() -> dict:
+        return {"faults": kernel.stats.faults, "enters": stats.enters,
+                "removes": stats.removes, "forgets": stats.forgets,
+                "shootdowns": kernel.pmap_system.shootdowns,
+                "chain_walks": kernel.vm.objects.chain_walks}
+
+    before = snapshot()
+    for _ in range(rounds):
+        for off in forget_order:
+            task.pmap.forget(addr + off)
+        if lane == "batch":
+            kernel.fault_batch(task, addr, pages, FaultType.READ)
+        else:
+            for off in range(0, pages * page, page):
+                task.read(addr + off, 1)
+    return {key: value - before[key]
+            for key, value in snapshot().items()}

@@ -90,6 +90,29 @@ class TestResolution:
         assert set(_calls_in(graph, "m:go")) == {"m:A.drain", "m:B.drain"}
 
 
+class TestFunctionIds:
+    def test_duplicate_qualnames_get_distinct_fids(self):
+        """A later definition of a qualname is numbered, never merged
+        into the first; unique names keep ``module:qualname``."""
+        graph = _graph("""
+            def run(fast):
+                if fast:
+                    def body(ctx):
+                        yield
+                else:
+                    def body(other):
+                        return other
+                return body
+        """)
+        assert sorted(graph.functions) == [
+            "m:run", "m:run.body", "m:run.body#2"]
+        first, second = (graph.functions[f]
+                         for f in ("m:run.body", "m:run.body#2"))
+        assert first.params == ("ctx",)
+        assert second.params == ("other",)
+        assert first.qualname == second.qualname == "run.body"
+
+
 class TestBindArgs:
     def test_receiver_and_positionals_bind(self):
         graph = _graph("""

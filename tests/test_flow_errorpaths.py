@@ -47,6 +47,21 @@ class TestProtections:
                     raise
         """) == []
 
+    def test_else_clause_is_not_protected(self):
+        """A try's handlers cover its body, not its ``else:`` clause:
+        the second read runs after the handler can no longer catch."""
+        findings = _findings("""
+            def pump(fs, inode):
+                try:
+                    fs.read_direct(inode, 0, 512)
+                except PagerStallError:
+                    return None
+                else:
+                    return fs.read_direct(inode, 512, 4096)
+        """)
+        assert [(f.rule, f.lineno) for f in findings] == [
+            ("unhandled-transient", 8)]
+
     def test_call_pager_funnel_protects(self):
         assert _findings("""
             def pump(kernel, pager, obj):

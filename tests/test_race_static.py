@@ -236,6 +236,25 @@ class TestAtomicityLint:
         assert _rules(violations) == {"atomicity-hazard"}
         assert "workload.body" in violations[0].message
 
+    def test_duplicate_qualname_keeps_its_own_summary(self):
+        # Two ``body`` definitions share the qualname ``run.body``; the
+        # yielding one must not be judged by the other's summary.
+        src = """
+            def run(fast, obj):
+                if fast:
+                    def body(ctx):
+                        n = obj.size
+                        yield
+                        obj.size = n + 1
+                else:
+                    def body(other):
+                        return other
+                return body
+            """
+        violations = lint_atomicity_source(textwrap.dedent(src))
+        assert _rules(violations) == {"atomicity-hazard"}
+        assert "run.body" in violations[0].message
+
     def test_syntax_error_reported_not_raised(self):
         assert _rules(lint_atomicity_source("def f(:\n")) \
             == {"syntax-error"}

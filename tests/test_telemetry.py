@@ -12,13 +12,11 @@ The contracts of the telemetry PR:
   JSON — including batch-lane faults with nested spans and streams
   where several events share one simulated tick;
 * the storm load generator is deterministic for a fixed seed, which is
-  what lets the bench compare gate hold percentiles to SLOs;
+  what lets ``repro storm --pager`` hold every pager-storm cell to the
+  serialized-control SLO (exit 1 on a breach);
 * the instrumentation stays free when observability is off: the fault
   path allocates zero ``Event`` objects and its throughput is within a
   few percent of a bus stubbed down to nothing;
-* ``repro.bench.compare`` tolerates schema drift across the
-  BENCH_<n>.json series ("n/a", never a crash) and its ``--gate`` mode
-  fails only on regressions it can actually measure.
 """
 
 from __future__ import annotations
@@ -31,13 +29,15 @@ import time
 import pytest
 
 import repro.obs.bus as bus_mod
-from repro.bench.compare import (
-    compare_reports,
-    format_comparison,
-    gate_failures,
-)
+import repro.bench.storm as storm_mod
 from repro.bench.perfbench import QUICK_ARCHS
-from repro.bench.storm import run_storm, run_storm_matrix
+from repro.bench.storm import (
+    PAGER_SERIALIZED_SLO,
+    pager_slo_breaches,
+    run_pager_storm_matrix,
+    run_storm,
+    run_storm_matrix,
+)
 from repro.bench.testing import make_spec
 from repro.cli import main
 from repro.core.constants import FaultType
@@ -551,73 +551,30 @@ class TestDifftestWithTelemetry:
 
 
 # ---------------------------------------------------------------------
-# Bench compare: schema drift + the SLO gate
+# The pager-stall storm's serialized-control SLO
 # ---------------------------------------------------------------------
 
-def _report(fps=None, wall=None, tail=None, shape=(8, 6, 3, 1)):
-    report = {}
-    if fps is not None:
-        report["fault_microbench"] = {"faults_per_s": fps}
-    if wall is not None:
-        report["invariant_sweeps"] = {"wall_s": wall}
-    if tail is not None:
-        tasks, pages, rounds, seed = shape
-        report["fault_tail_latency"] = {
-            "tasks": tasks, "pages": pages, "rounds": rounds,
-            "seed": seed,
-            "per_arch": {arch: {"p99_us": p99}
-                         for arch, p99 in tail.items()},
-        }
-    return report
+class TestPagerStormSLO:
 
+    def test_quick_pager_storm_meets_the_slo(self):
+        payload, _ = run_pager_storm_matrix(quick=True)
+        assert set(payload["archs"]) == set(QUICK_ARCHS)
+        for arch, cell in payload["archs"].items():
+            assert cell["p99_vs_serialized"] <= PAGER_SERIALIZED_SLO, \
+                (arch, cell["p99_us"], cell["serialized"]["p99_us"])
+        assert pager_slo_breaches(payload) == []
 
-class TestCompareGate:
+    def test_cli_exits_1_on_a_breach(self, monkeypatch, capsys):
+        real = storm_mod.run_pager_storm_matrix
 
-    def test_missing_sections_render_na_not_crash(self):
-        delta = compare_reports({}, _report(fps=1000.0,
-                                            tail={"generic": 50.0}))
-        assert delta["fault_ratio"] is None
-        assert delta["sweep_ratio"] is None
-        assert delta["tail_p99_ratio"]["generic"]["ratio"] is None
-        text = format_comparison(delta)
-        assert "n/a" in text
-        assert "1000" in text
+        def breached(**kwargs):
+            payload, telemetries = real(**kwargs)
+            cell = payload["archs"]["vax"]
+            cell["p99_vs_serialized"] = PAGER_SERIALIZED_SLO + 0.25
+            return payload, telemetries
 
-    def test_nothing_comparable_at_all(self):
-        delta = compare_reports({}, {})
-        assert format_comparison(delta) == "nothing comparable"
-        assert gate_failures(delta) == []
-
-    def test_gate_fails_on_throughput_regression(self):
-        delta = compare_reports(_report(fps=100_000.0),
-                                _report(fps=70_000.0))
-        failures = gate_failures(delta, max_regress_pct=20.0)
-        assert len(failures) == 1
-        assert "throughput" in failures[0]
-
-    def test_gate_passes_within_budget(self):
-        delta = compare_reports(_report(fps=100_000.0),
-                                _report(fps=85_000.0))
-        assert gate_failures(delta, max_regress_pct=20.0) == []
-
-    def test_gate_fails_on_latency_slo_breach(self):
-        delta = compare_reports(
-            _report(tail={"generic": 1000.0}),
-            _report(tail={"generic": 2000.0}))
-        failures = gate_failures(delta)
-        assert len(failures) == 1
-        assert "p99" in failures[0]
-
-    def test_gate_skips_percentiles_across_load_shapes(self):
-        delta = compare_reports(
-            _report(tail={"generic": 1000.0}, shape=(8, 6, 3, 1)),
-            _report(tail={"generic": 9000.0}, shape=(4, 4, 2, 1)))
-        assert delta["tail_p99_ratio"]["generic"]["ratio"] is None
-        assert gate_failures(delta) == []
-
-    def test_gate_skips_archs_only_one_side_measured(self):
-        delta = compare_reports(
-            _report(tail={"generic": 1000.0}),
-            _report(tail={"generic": 1000.0, "vax": 5000.0}))
-        assert delta["tail_p99_ratio"]["vax"]["ratio"] is None
-        assert gate_failures(delta) == []
+        monkeypatch.setattr(storm_mod, "run_pager_storm_matrix",
+                            breached)
+        assert main(["storm", "--pager", "--quick"]) == 1
+        err = capsys.readouterr().err
+        assert "SLO FAIL" in err and "(vax)" in err

@@ -213,9 +213,9 @@ class TestInterprocedural:
             in _rules(findings)
 
     def test_thread_body_judged_per_definition(self):
-        """Two definitions sharing a qualname share one call-graph
-        entry; each is still a thread body (or not) by its own
-        parameters."""
+        """Two definitions sharing a qualname each keep their own
+        call-graph entry and are each a thread body (or not) by their
+        own parameters."""
         findings = _inline_findings("""
             def make(fast, pmap, start, end, system):
                 if fast:
@@ -252,7 +252,7 @@ class TestInterprocedural:
 class TestScopeAndTree:
     def test_analysis_tooling_is_exempt(self):
         assert not in_scope("repro.analysis.typestate")
-        assert not in_scope("repro.bench.compare")
+        assert not in_scope("repro.bench.storm")
         assert in_scope("repro.core.kernel")
         assert in_scope("repro.pmap.interface")
 
